@@ -20,7 +20,7 @@ from .logic import (FinStructure, RelSpec, Signature, eval_formula,
                     eval_interval, format_formula, modulus, parse)
 from .metric import (Feasible, FinMetric, PartialConstraintSet,
                      PartialIsometry, QUPrefix, extend_partial_isometry,
-                     feasible, qu_extend)
+                     feasible, parse_id, qu_extend)
 from .rat import format_rat, parse_rat, parse_rat01
 from .space import StructureCone, cone_diam, cone_member, cone_subset, delta_seq
 
@@ -52,11 +52,12 @@ def read_sig(path: str) -> Signature:
         if not line:
             continue
         parts = line.split()
-        if (parts[0] != "rel" or len(parts) != 5 or parts[3] != "mod"
-                or not parts[2].isdigit()):
+        if parts[0] != "rel" or len(parts) != 5 or parts[3] != "mod":
             raise UsageError(f"{path}:{ln}: expected "
                              f"'rel <name> <arity> mod <coeff>'")
-        rels.append(RelSpec(parts[1], int(parts[2]), parse_rat(parts[4])))
+        rels.append(RelSpec(parts[1], parse_id(parts[2], "arity",
+                                               f"{path}:{ln}: "),
+                            parse_rat(parts[4])))
     return Signature(rels)
 
 
@@ -97,22 +98,16 @@ def _cone_kind(text: str, path: str) -> str:
 def parse_ids(text: str) -> tuple:
     if not text.strip():
         return ()
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok.isdigit():
-            raise UsageError(f"bad point id {tok!r}")
-        out.append(int(tok))
-    return tuple(out)
+    return tuple(parse_id(tok.strip()) for tok in text.split(","))
 
 
 def _binds(pairs) -> dict:
     asg = {}
     for item in pairs or ():
         name, eq, val = item.partition("=")
-        if not eq or not val.isdigit() or not name:
+        if not eq or not name:
             raise UsageError(f"bad binding {item!r} (want name=id)")
-        asg[name] = int(val)
+        asg[name] = parse_id(val, where=f"binding {item!r}: ")
     return asg
 
 
@@ -138,8 +133,8 @@ def read_manifest(path: str) -> Manifest:
             m.sig_path = os.path.join(base, parts[1])
         elif parts[0] == "prefix" and len(parts) == 2:
             m.prefix_path = os.path.join(base, parts[1])
-        elif parts[0] == "stage" and len(parts) == 2 and parts[1].isdigit():
-            m.stage = int(parts[1])
+        elif parts[0] == "stage" and len(parts) == 2:
+            m.stage = parse_id(parts[1], "stage", f"{path}:{ln}: ")
         else:
             raise UsageError(f"{path}:{ln}: unknown manifest line")
     return m
@@ -427,10 +422,12 @@ def _read_family(path: str, sig: Signature, n: int):
             family.append((ids, parse(parts[3], sig), parse_rat(parts[1])))
         elif head == "delta":
             parts = line.split(None, 2)
-            if len(parts) != 3 or not parts[1].isdigit():
+            if len(parts) != 3:
                 raise UsageError(f"{path}:{ln}: expected "
                                  f"'delta <i> <formula>'")
-            raw_deltas.append((ln, int(parts[1]), parse(parts[2], sig)))
+            raw_deltas.append((ln, parse_id(parts[1], "delta index",
+                                            f"{path}:{ln}: "),
+                               parse(parts[2], sig)))
         else:
             raise UsageError(f"{path}:{ln}: unknown family line")
     deltas = {}

@@ -16,10 +16,11 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import PreconditionError, UsageError
-from .logic import FinStructure, Signature, lipschitz_extend
+from .logic import (FinStructure, Signature, check_seed_prefix, fill_structure,
+                    fill_value)
 from .metric import (FinMetric, Feasible, PartialConstraintSet,
                      PartialIsometry, QUPrefix, append_point_completion,
-                     feasible, qu_extend)
+                     feasible, parse_id, qu_extend)
 from .rat import ONE, ZERO, Rat01, format_rat, parse_rat, parse_rat01
 from .space import (ConeConstraint, SeqIndex, StructureCone, cone_member,
                     cone_nonempty, cone_subset)
@@ -28,18 +29,6 @@ STAR_OPS = ("lt", "le", "gt", "ge")
 
 # complement of {v star thr} within [0, 1]
 _NEG_STAR = {"lt": "ge", "le": "gt", "gt": "le", "ge": "lt"}
-
-
-def star_holds(value: Rat01, star: str, thr: Rat01) -> bool:
-    if star == "lt":
-        return value < thr
-    if star == "le":
-        return value <= thr
-    if star == "gt":
-        return value > thr
-    if star == "ge":
-        return value >= thr
-    raise UsageError(f"unknown comparison {star!r}")
 
 
 @dataclass(frozen=True)
@@ -111,12 +100,7 @@ class GreyCosetCode:
             vals[key] = part[len(key) + 1:]
 
         def ids(tok):
-            out = []
-            for piece in tok.split(","):
-                if not piece.isdigit():
-                    raise UsageError(f"bad point id {piece!r}")
-                out.append(int(piece))
-            return tuple(out)
+            return tuple(parse_id(piece) for piece in tok.split(","))
 
         return cls(parse_rat(vals["q"]), ids(vals["s"]), ids(vals["s'"]),
                    parse_rat01(vals["thr"]), vals["op"])
@@ -370,16 +354,15 @@ class OraclePoint:
     canonical prefix.
 
     Fill values depend only on the seed and on distances to seed points,
-    so they never change as the prefix grows.  Growth mutates this
-    object; share it single-writer.
+    so they never change as the prefix grows and are computed per query.
+    Growth mutates this object; share it single-writer.
     """
 
     def __init__(self, seed: FinStructure, prefix: QUPrefix):
         self.seed = seed
         self.prefix = prefix.copy()
-        while self.prefix.space.n < seed.space.n:
-            self.prefix = qu_extend(self.prefix, 8)
-        self._ext = lipschitz_extend(seed, self.prefix.space)
+        self.ensure(seed.space.n)
+        check_seed_prefix(seed, self.prefix.space)
 
     @property
     def sig(self) -> Signature:
@@ -391,19 +374,18 @@ class OraclePoint:
 
     def ensure(self, n: int) -> None:
         """Grow the prefix until it has at least n points."""
-        grew = False
         while self.prefix.space.n < n:
             self.prefix = qu_extend(self.prefix, 8)
-            grew = True
-        if grew:
-            self._ext = lipschitz_extend(self.seed, self.prefix.space)
 
     def value(self, rel: str, tup) -> Rat01:
         tup = tuple(tup)
         if any(i < 0 for i in tup):
             raise UsageError("negative point id")
+        spec = self.sig.get(rel)
+        if spec is None or len(tup) != spec.arity:
+            raise PreconditionError(f"no table value for {rel}{tup}")
         self.ensure(max(tup) + 1)
-        return self._ext.value(rel, tup)
+        return fill_value(spec.coeff, self.seed.tables[rel], self.space, tup)
 
 
 def sat(x: OraclePoint, c: StructureCone) -> bool:
@@ -494,9 +476,7 @@ class ThresholdCone:
                     raise UsageError(f"unknown relation in {raw!r}")
                 if len(parts) != 3 + spec.arity:
                     raise UsageError(f"bad term line: {raw!r}")
-                if not all(x.isdigit() for x in parts[2:2 + spec.arity]):
-                    raise UsageError(f"bad point id in {raw!r}")
-                tup = tuple(int(x) for x in parts[2:2 + spec.arity])
+                tup = tuple(parse_id(x) for x in parts[2:2 + spec.arity])
                 terms.append((parts[1], tup, parse_rat01(parts[-1])))
             else:
                 raise UsageError(f"unrecognized line: {raw!r}")
@@ -608,25 +588,12 @@ class InvResult:
 def _mcshane_structure(sig: Signature, space: FinMetric, seeds):
     """Total tables from sparse seed values via the tightest
     modulus-compatible fill; None when a seed violates its modulus."""
-    tables = {}
     for spec in sig.relations:
         seed = seeds.get(spec.name, {})
         for (t1, v1), (t2, v2) in itertools.combinations(seed.items(), 2):
             if abs(v1 - v2) > spec.coeff * space.tuple_dist(t1, t2):
                 return None
-        out = {}
-        pts = list(space.points)
-        for tup in itertools.product(pts, repeat=spec.arity):
-            if tup in seed:
-                out[tup] = seed[tup]
-            elif seed:
-                out[tup] = min(ONE, min(
-                    v + spec.coeff * space.tuple_dist(tup, st)
-                    for st, v in seed.items()))
-            else:
-                out[tup] = ZERO
-        tables[spec.name] = out
-    return FinStructure(sig, space, tables)
+    return fill_structure(sig, seeds, space)
 
 
 def _gap_after(cone: StructureCone, M: FinStructure,

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError, UsageError
-from .logic import (FinStructure, eval_formula, format_formula, free_vars,
-                    lipschitz_extend)
+from .logic import (FinStructure, check_seed_prefix, eval_formula,
+                    fill_value, format_formula, free_vars)
 from .metric import (PartialIsometry, QUPrefix, append_point_completion,
                      extend_partial_isometry, qu_extend)
 from .rat import ZERO, Rat01, check_rat01, format_rat
@@ -69,17 +69,22 @@ def _atom_positions(arity: int, k: int, touching=None):
             yield pos
 
 
-def _atom_gap(ext: FinStructure, left, right, tol: Fraction, touching=None):
+def _atom_gap(M: FinStructure, space, left, right, tol: Fraction,
+             touching=None):
     """First atom whose values across the two sides differ by more than tol.
 
-    Scans every relation over every position tuple (restricted to tuples
-    containing the index `touching` when given); returns (name, positions,
-    gap) or None.
+    Values are M's tables filled over space, computed only for the atoms
+    compared.  Scans every relation over every position tuple (restricted
+    to tuples containing the index `touching` when given); returns (name,
+    positions, gap) or None.
     """
-    for spec in ext.sig.relations:
+    for spec in M.sig.relations:
+        seed = M.tables[spec.name]
         for pos in _atom_positions(spec.arity, len(left), touching):
-            lv = ext.value(spec.name, tuple(left[p] for p in pos))
-            rv = ext.value(spec.name, tuple(right[p] for p in pos))
+            lv = fill_value(spec.coeff, seed, space,
+                            tuple(left[p] for p in pos))
+            rv = fill_value(spec.coeff, seed, space,
+                            tuple(right[p] for p in pos))
             if abs(lv - rv) > tol:
                 return spec.name, pos, abs(lv - rv)
     return None
@@ -112,18 +117,18 @@ def _mirror_extend(work: QUPrefix, g: PartialIsometry, z: int,
     values = tuple(work.space.d(z, s) for s in g.sources)
     left = list(g.sources) + [z]
     new_at = len(left) - 1
-    ext = lipschitz_extend(M, work.space)
     for p in work.space.points:
         if any(work.space.d(p, a) != v for a, v in zip(anchors, values)):
             continue
-        if _atom_gap(ext, left, list(g.targets) + [p], tol, new_at) is None:
+        if _atom_gap(M, work.space, left, list(g.targets) + [p], tol,
+                     new_at) is None:
             g2 = g.extend(z, p)
             g2.validate(work.space)
             return work, g2, p
     work2 = work.copy()
     w = append_point_completion(work2.space, dict(zip(anchors, values)))
-    ext2 = lipschitz_extend(M, work2.space)
-    if _atom_gap(ext2, left, list(g.targets) + [w], tol, new_at) is None:
+    if _atom_gap(M, work2.space, left, list(g.targets) + [w], tol,
+                 new_at) is None:
         g2 = g.extend(z, w)
         g2.validate(work2.space)
         return work2, g2, w
@@ -164,15 +169,8 @@ def back_and_forth(prefix: QUPrefix, abar, bbar, eps: Rat01, steps: int,
                 raise PreconditionError(
                     f"metric diagrams differ on coordinates {j},{i}")
     if M is not None:
-        if M.space.n > space.n:
-            raise PreconditionError("structure carrier exceeds the prefix")
-        for b in M.space.points:
-            for a in range(b):
-                if M.space.d(a, b) != space.d(a, b):
-                    raise PreconditionError(
-                        "structure space is not a metric prefix of the space")
-        ext = lipschitz_extend(M, space)
-        bad = _atom_gap(ext, abar, bbar, eps)
+        check_seed_prefix(M, space)
+        bad = _atom_gap(M, space, abar, bbar, eps)
         if bad is not None:
             name, pos, gap = bad
             args = ",".join(str(i) for i in pos)

@@ -8,13 +8,14 @@ accounts for the carrier being only an r-dense prefix of the intended
 space.
 """
 
+import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import PreconditionError, UsageError
-from .metric import FinMetric, QUPrefix
+from .metric import FinMetric, QUPrefix, parse_id
 from .rat import ONE, ZERO, Rat01, check_rat01, format_rat, parse_rat, tadd, tsub
 
 KEYWORDS = ("neg", "half", "tsub", "tadd", "tmul", "min", "max", "absdiff",
@@ -390,11 +391,14 @@ class FinStructure:
             table = self.tables.get(spec.name)
             if table is None:
                 raise PreconditionError(f"missing table for {spec.name}")
-            tuples = list(_all_tuples(pts, spec.arity))
+            tuples = list(itertools.product(pts, repeat=spec.arity))
             for t in tuples:
                 if t not in table:
                     raise PreconditionError(f"no table value for {spec.name}{t}")
                 check_rat01(table[t])
+            if len(table) > len(tuples):
+                raise PreconditionError(
+                    f"{spec.name} has values off the carrier")
             for i, a in enumerate(tuples):
                 for b in tuples[i + 1:]:
                     gap = abs(table[a] - table[b])
@@ -434,9 +438,10 @@ class FinStructure:
         rels = []
         for line in rel_lines:
             parts = line.split()
-            if len(parts) != 5 or parts[3] != "mod" or not parts[2].isdigit():
+            if len(parts) != 5 or parts[3] != "mod":
                 raise UsageError(f"bad rel line: {line!r}")
-            rels.append(RelSpec(parts[1], int(parts[2]), parse_rat(parts[4])))
+            rels.append(RelSpec(parts[1], parse_id(parts[2], "arity"),
+                                parse_rat(parts[4])))
         sig = Signature(rels)
         tables = {r.name: {} for r in rels}
         for line in val_lines:
@@ -444,10 +449,9 @@ class FinStructure:
             spec = sig.get(parts[1]) if len(parts) > 1 else None
             if spec is None:
                 raise UsageError(f"val for undeclared relation: {line!r}")
-            if (len(parts) != 3 + spec.arity
-                    or not all(x.isdigit() for x in parts[2:2 + spec.arity])):
+            if len(parts) != 3 + spec.arity:
                 raise UsageError(f"bad val line: {line!r}")
-            tup = tuple(int(x) for x in parts[2:2 + spec.arity])
+            tup = tuple(parse_id(x) for x in parts[2:2 + spec.arity])
             v = parse_rat(parts[-1])
             if not 0 <= v <= 1:
                 raise UsageError(f"val outside [0, 1]: {line!r}")
@@ -457,15 +461,6 @@ class FinStructure:
         m = cls(sig, space, tables)
         m.check()
         return m
-
-
-def _all_tuples(pts, arity: int):
-    if arity == 0:
-        yield ()
-        return
-    for t in _all_tuples(pts, arity - 1):
-        for p in pts:
-            yield t + (p,)
 
 
 def _resolve(t: Term, asg, n: int) -> int:
@@ -583,41 +578,58 @@ def eval_interval(M: FinStructure, f: Formula, asg=None,
     return iv(f, asg)
 
 
-def lipschitz_extend(seed: FinStructure, target) -> FinStructure:
-    """Extend seed tables to a larger carrier by the tightest values
-    compatible with each relation's modulus.
+def fill_value(coeff: Fraction, seed, space: FinMetric, tup) -> Rat01:
+    """The tightest coeff-Lipschitz fill of sparse seed values at tup.
 
-    target may be a FinMetric or a QUPrefix whose first points coincide
-    with the seed carrier.  New values are
-    R(x) = min(1, min over seed tuples s of R(s) + coeff * d(x, s)),
-    which is coeff-Lipschitz and agrees with the seed on seed tuples.
+    seed maps tuples to values.  On a seed tuple this is its seed value;
+    elsewhere R(x) = min(1, min over seed tuples s of R(s) + coeff * d(x, s))
+    under the max metric on tuples, and 0 when there are no seed values.
+    It depends only on distances to seed tuples, so it never changes as
+    the space grows; nothing is cached because callers read few tuples.
     """
-    space = target.space if isinstance(target, QUPrefix) else target
-    ns, nt = seed.space.n, space.n
-    if ns > nt:
-        raise PreconditionError("seed carrier larger than target")
+    if tup in seed:
+        return seed[tup]
+    if not seed:
+        return ZERO
+    return min(ONE, min(v + coeff * space.tuple_dist(tup, s)
+                        for s, v in seed.items()))
+
+
+def check_seed_prefix(seed: FinStructure, space: FinMetric) -> None:
+    """Preconditions for filling seed's tables over space: the seed carrier
+    is nonempty, no larger than space, and an initial metric segment of
+    it, and the seed tables are total and modulus-compatible."""
+    ns = seed.space.n
     if ns == 0:
         raise PreconditionError("empty seed carrier")
+    if ns > space.n:
+        raise PreconditionError("seed carrier larger than target")
     for i in range(ns):
         for j in range(i + 1, ns):
             if seed.space.d(i, j) != space.d(i, j):
                 raise PreconditionError(
                     f"seed is not a metric prefix of target at ({i}, {j})")
     seed.check()
-    tables = {}
-    for spec in seed.sig.relations:
-        src = seed.tables[spec.name]
-        out = {}
-        for tup in _all_tuples(list(range(nt)), spec.arity):
-            if all(i < ns for i in tup):
-                out[tup] = src[tup]
-                continue
-            best = ONE
-            for s, v in src.items():
-                cand = v + spec.coeff * max(
-                    space.d(a, b) for a, b in zip(tup, s))
-                if cand < best:
-                    best = cand
-            out[tup] = best
-        tables[spec.name] = out
-    return FinStructure(seed.sig, space.copy(), tables)
+
+
+def fill_structure(sig: Signature, seeds, space: FinMetric) -> FinStructure:
+    """Total tables over space by fill_value from sparse seeds, a map from
+    relation name to {tuple: value}; a relation without seeds fills as 0."""
+    return FinStructure(sig, space, {
+        spec.name: {tup: fill_value(spec.coeff, seeds.get(spec.name, {}),
+                                    space, tup)
+                    for tup in itertools.product(space.points,
+                                                 repeat=spec.arity)}
+        for spec in sig.relations})
+
+
+def lipschitz_extend(seed: FinStructure, target) -> FinStructure:
+    """Extend seed tables to a larger carrier by fill_value at every tuple.
+
+    target may be a FinMetric or a QUPrefix whose first points coincide
+    with the seed carrier; the result agrees with the seed on seed tuples
+    and keeps each relation's modulus.
+    """
+    space = target.space if isinstance(target, QUPrefix) else target
+    check_seed_prefix(seed, space)
+    return fill_structure(seed.sig, seed.tables, space.copy())

@@ -142,14 +142,25 @@ def _parse_point_dist_lines(text: str, allow_extra: bool):
     return ids, dists
 
 
+def parse_id(tok: str, what: str = "point id", where: str = "") -> int:
+    """A point id or index: a non-negative integer in ASCII digits.
+
+    str.isdigit alone also accepts characters such as '²' that int()
+    rejects, and int() alone accepts signs, blanks, underscores and
+    non-ASCII digits; every text reader goes through this one check.
+    """
+    if tok.isascii() and tok.isdigit():
+        return int(tok)
+    raise UsageError(f"{where}bad {what} {tok!r}")
+
+
 def _parse_id(tok: str, ln: int) -> int:
+    # the line prefix is built only on failure; prefix files hold millions
+    # of ids
     try:
-        v = int(tok)
-    except ValueError:
-        raise UsageError(f"line {ln}: bad point id {tok!r}") from None
-    if v < 0:
-        raise UsageError(f"line {ln}: negative point id")
-    return v
+        return parse_id(tok)
+    except UsageError as exc:
+        raise UsageError(f"line {ln}: {exc}") from None
 
 
 def _metric_from_parsed(ids, dists) -> FinMetric:
@@ -548,15 +559,6 @@ class QUPrefix:
     stage: int = 0
     pos: int = 0
     snapshots: list[int] = field(default_factory=lambda: [0])
-
-    @property
-    def denom_bound(self) -> int:
-        """Largest denominator realized among distances so far."""
-        best = 1
-        for b in self.space.points:
-            for a in range(b):
-                best = max(best, self.space.d(a, b).denominator)
-        return best
 
     def copy(self) -> "QUPrefix":
         return QUPrefix(self.space.copy(), self.stage, self.pos, list(self.snapshots))

@@ -7,7 +7,6 @@ only adds range discipline, the connectives, and the p/q text format.
 
 from __future__ import annotations
 
-import enum
 from fractions import Fraction
 
 from .errors import UsageError
@@ -16,20 +15,6 @@ Rat01 = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-class Cmp(enum.Enum):
-    LT = -1
-    EQ = 0
-    GT = 1
-
-
-def rat01(numerator: int, denominator: int = 1) -> Fraction:
-    """Build a checked rational in [0, 1]."""
-    if denominator == 0:
-        raise UsageError("zero denominator")
-    x = Fraction(numerator, denominator)
-    return check_rat01(x)
 
 
 def check_rat01(x: Fraction) -> Fraction:
@@ -94,45 +79,3 @@ def tmul(q: Fraction, x: Fraction) -> Fraction:
 
 def absdiff(x: Fraction, y: Fraction) -> Fraction:
     return abs(x - y)
-
-
-def cmp(a: Fraction, b: Fraction) -> Cmp:
-    """Exact three-way comparison."""
-    if a < b:
-        return Cmp.LT
-    if a > b:
-        return Cmp.GT
-    return Cmp.EQ
-
-
-_CONNECTIVES = {
-    "neg": (1, neg),
-    "half": (1, half),
-    "tsub": (2, tsub),
-    "tadd": (2, tadd),
-    "min": (2, min),
-    "max": (2, max),
-    "absdiff": (2, absdiff),
-}
-
-
-def connective_eval(kind: str, args: list[Fraction]) -> Fraction:
-    """Apply a named connective to checked arguments.
-
-    `tmul` expects [q, x] where q may exceed 1; every other argument must
-    lie in [0, 1].  Unknown kind or wrong arity raises UsageError.
-    """
-    if kind == "tmul":
-        if len(args) != 2:
-            raise UsageError("tmul expects 2 arguments")
-        q, x = args
-        if q <= 0:
-            raise UsageError("tmul multiplier must be positive")
-        return tmul(q, check_rat01(x))
-    try:
-        arity, fn = _CONNECTIVES[kind]
-    except KeyError:
-        raise UsageError(f"unknown connective {kind!r}") from None
-    if len(args) != arity:
-        raise UsageError(f"{kind} expects {arity} argument(s), got {len(args)}")
-    return fn(*(check_rat01(a) for a in args))

@@ -14,7 +14,7 @@ from typing import Optional
 
 from .errors import PreconditionError, UsageError
 from .logic import FinStructure, Signature
-from .metric import FinMetric
+from .metric import FinMetric, parse_id
 from .rat import ONE, ZERO, Rat01, format_rat, parse_rat
 
 
@@ -189,9 +189,7 @@ class StructureCone:
                 raise UsageError(f"unknown relation in {raw!r}")
             if len(parts) != 5 + spec.arity:
                 raise UsageError(f"bad con line: {raw!r}")
-            if not all(x.isdigit() for x in parts[2:2 + spec.arity]):
-                raise UsageError(f"bad point id in {raw!r}")
-            tup = tuple(int(x) for x in parts[2:2 + spec.arity])
+            tup = tuple(parse_id(x) for x in parts[2:2 + spec.arity])
             lo = parse_rat(parts[-3])
             hi = parse_rat(parts[-2])
             fl = parts[-1]

@@ -312,3 +312,31 @@ def random_constraint_set(rng: random.Random, n: int, den: int,
                 cs.add_upper(i, j, rng.choice(vals),
                              strict_allowed and rng.random() < 0.4)
     return cs
+
+
+def mcshane_fill_reference(sig, seeds, space):
+    """Eager tightest modulus-compatible fill of sparse seed tables.
+
+    seeds maps a relation name to {tuple: value}.  Every tuple over the
+    space gets its seed value when it has one, otherwise
+    min(1, min over seed tuples s of R(s) + coeff * max_i d(x_i, s_i)),
+    or 0 when the relation has no seed values at all.  Returns plain
+    {name: {tuple: value}} tables.
+    """
+    tables = {}
+    for spec in sig.relations:
+        src = seeds.get(spec.name, {})
+        out = {}
+        for tup in itertools.product(range(space.n), repeat=spec.arity):
+            if tup in src:
+                out[tup] = src[tup]
+                continue
+            best = Fraction(1) if src else Fraction(0)
+            for s, v in src.items():
+                cand = v + spec.coeff * max(
+                    space.d(a, b) for a, b in zip(tup, s))
+                if cand < best:
+                    best = cand
+            out[tup] = best
+        tables[spec.name] = out
+    return tables

@@ -6,14 +6,21 @@ script when there is one, and otherwise the wrapper that conftest.py builds
 from the ``[project.scripts]`` entry in pyproject.toml.
 """
 
+import os
 import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import urybench
+from urybench import cli
 from urybench.cli import main
+from urybench.errors import UsageError
+from urybench.grey import GreyCosetCode, ThresholdCone
 from urybench.logic import FinStructure, RelSpec, Signature
-from urybench.metric import QUPrefix, qu_extend
+from urybench.metric import FinMetric, QUPrefix, qu_extend
 from urybench.space import StructureCone, cone_diam
 
 
@@ -451,3 +458,65 @@ class TestParserEdges:
             capture_output=True, text=True)
         assert res.returncode == 1
         assert res.stdout == "false\n"
+
+    def test_python_dash_m(self, demo):
+        src = str(Path(urybench.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        res = subprocess.run(
+            [sys.executable, "-m", "urybench", "parse", "d(x,y)",
+             "--sig", demo["sig.txt"]],
+            capture_output=True, text=True, env=env)
+        assert res.returncode == 0
+        assert res.stdout == "d(x, y)\n"
+
+
+# '\u00b2' (superscript two) passes str.isdigit but not int(): every id
+# reader must turn it into a usage error, never a traceback.
+SUP2 = "\u00b2"
+UNARY = Signature([RelSpec("R", 1, F(1))])
+
+
+def _from_file(reader, text):
+    def call(tmp_path):
+        path = tmp_path / "in.txt"
+        path.write_text(text, encoding="utf-8")
+        return reader(str(path))
+    return call
+
+
+ID_READERS = {
+    "parse_ids": lambda tmp: cli.parse_ids(f"0,{SUP2}"),
+    "binds": lambda tmp: cli._binds([f"x={SUP2}"]),
+    "manifest_stage": _from_file(cli.read_manifest, f"stage {SUP2}\n"),
+    "family_delta": _from_file(
+        lambda path: cli._read_family(path, UNARY, 1),
+        f"cond 0 0 R(x1)\ndelta {SUP2} R(x1)\n"),
+    "sig_arity": _from_file(cli.read_sig, f"rel R {SUP2} mod 1\n"),
+    "gcone": lambda tmp: GreyCosetCode.from_text(
+        f"gcone q=1 s=0 s'={SUP2} thr=1/2 op=lt\n"),
+    "structure_cone": lambda tmp: StructureCone.from_text(
+        f"con R {SUP2} 0 1/2 cc\n", UNARY),
+    "threshold_cone": lambda tmp: ThresholdCone.from_text(
+        f"tcone r=1/4\nterm R {SUP2} 0\n", UNARY),
+    "structure_rel": lambda tmp: FinStructure.from_text(
+        f"point 0\nrel R {SUP2} mod 1\n"),
+    "structure_val": lambda tmp: FinStructure.from_text(
+        f"point 0\nrel R 1 mod 1\nval R {SUP2} 0\n"),
+    "metric_point": lambda tmp: FinMetric.from_text(f"point {SUP2}\n"),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(ID_READERS))
+def test_non_ascii_digit_id_is_usage_error(reader, tmp_path):
+    with pytest.raises(UsageError):
+        ID_READERS[reader](tmp_path)
+
+
+def test_non_ascii_digit_id_exits_2(demo, capsys):
+    code, _, err = run(capsys, "backforth", "--prefix", demo["prefix.txt"],
+                       "--left", SUP2, "--right", "0", "--eps", "1/2",
+                       "--steps", "1")
+    assert code == 2
+    assert err.startswith("error:")

@@ -5,11 +5,14 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gen import prefix_metric, random_structure
+from gen import EIGHTHS, prefix_metric, random_structure
 from oracles import (
     check_gcone_witness,
     grid_counterexample_probe,
+    mcshane_fill_reference,
     single_nonempty_oracle,
     single_pair_subset_oracle,
     star_holds_oracle,
@@ -20,6 +23,7 @@ from urybench.grey import (
     InvResult,
     OraclePoint,
     ThresholdCone,
+    _mcshane_structure,
     cone_gap,
     coset_value,
     formal_inclusion,
@@ -346,6 +350,54 @@ class TestOraclePoint:
         x = OraclePoint(seed_structure(big.space, 3), QUPrefix())
         assert x.space.n >= 3
         assert x.value("R", (2,)) == F(1, 2)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 3), st.randoms(),
+           st.lists(st.integers(1, 16), min_size=1, max_size=4))
+    def test_values_match_reference_after_each_growth(self, k, rng, sizes):
+        seed = random_structure(rng, prefix_metric(grown_prefix(8).space, k),
+                                SIG)
+        x = OraclePoint(seed, QUPrefix())
+        for n in sizes:
+            x.ensure(n)
+            want = mcshane_fill_reference(SIG, seed.tables, x.space)
+            for spec in SIG.relations:
+                for tup, v in want[spec.name].items():
+                    assert x.value(spec.name, tup) == v
+
+
+class TestMcShaneStructure:
+    SPACE = grown_prefix(12).space
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_reference_on_sparse_seeds(self, data):
+        space = self.SPACE
+        ids = st.integers(0, space.n - 1)
+        vals = st.sampled_from(EIGHTHS)
+        seeds = {
+            "R": data.draw(st.dictionaries(st.tuples(ids), vals, max_size=3)),
+            "S": data.draw(st.dictionaries(st.tuples(ids, ids), vals,
+                                           max_size=3)),
+        }
+        if data.draw(st.booleans()):
+            del seeds[data.draw(st.sampled_from(sorted(seeds)))]
+        compatible = all(
+            abs(v1 - v2) <= spec.coeff * max(
+                space.d(a, b) for a, b in zip(t1, t2))
+            for spec in SIG.relations
+            for t1, v1 in seeds.get(spec.name, {}).items()
+            for t2, v2 in seeds.get(spec.name, {}).items())
+        M = _mcshane_structure(SIG, space, seeds)
+        if not compatible:
+            assert M is None
+            return
+        assert M.tables == mcshane_fill_reference(SIG, seeds, space)
+
+    def test_relation_without_seeds_fills_zero(self):
+        M = _mcshane_structure(SIG, self.SPACE, {"R": {(0,): F(1, 2)}})
+        assert set(M.tables["S"].values()) == {F(0)}
+        assert M.tables["R"][(0,)] == F(1, 2)
 
 
 class TestSatKappa:

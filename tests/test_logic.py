@@ -4,9 +4,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gen import default_sig, prefix_metric, random_formula, random_metric, \
     random_structure
+from oracles import mcshane_fill_reference
 from urybench.errors import PreconditionError, UsageError
 from urybench.logic import (
     Atom,
@@ -27,6 +30,7 @@ from urybench.logic import (
     Var,
     eval_formula,
     eval_interval,
+    fill_value,
     format_formula,
     free_vars,
     lipschitz_extend,
@@ -37,6 +41,7 @@ from urybench.metric import FinMetric, qu_complete_stage, QUPrefix
 
 
 SIG = default_sig()
+STAGE1 = qu_complete_stage(QUPrefix(), 1).space
 
 
 def small_structure():
@@ -303,6 +308,22 @@ class TestLipschitzExtend:
             lipschitz_extend(seed, b)
 
 
+class TestFillValue:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, STAGE1.n), st.randoms())
+    def test_matches_reference_on_prefix_carriers(self, k, rng):
+        seed = random_structure(rng, prefix_metric(STAGE1, k), SIG)
+        want = mcshane_fill_reference(SIG, seed.tables, STAGE1)
+        for spec in SIG.relations:
+            for tup, v in want[spec.name].items():
+                assert fill_value(spec.coeff, seed.tables[spec.name],
+                                  STAGE1, tup) == v
+        assert lipschitz_extend(seed, STAGE1).tables == want
+
+    def test_no_seed_values_fill_zero(self):
+        assert fill_value(F(1), {}, STAGE1, (3,)) == 0
+
+
 class TestStructureText:
     def test_round_trip(self):
         M = small_structure()
@@ -321,6 +342,14 @@ class TestStructureText:
         M = small_structure()
         text = M.to_text() + "val R 1 2/3\n"
         with pytest.raises(UsageError):
+            FinStructure.from_text(text)
+
+    def test_value_off_the_carrier_rejected(self):
+        # a val line for a point the carrier lacks would otherwise act
+        # as a seed value when the tables are filled over a larger space
+        M = small_structure()
+        text = M.to_text() + "val R 5 1/2\n"
+        with pytest.raises(PreconditionError):
             FinStructure.from_text(text)
 
     def test_modulus_violation_rejected(self):

@@ -26,12 +26,6 @@ def test_truncated_product_caps():
     assert rat.tmul(F(1, 2), F(1, 2)) == F(1, 4)
 
 
-def test_cmp():
-    assert rat.cmp(F(1, 3), F(1, 2)) is rat.Cmp.LT
-    assert rat.cmp(F(2, 4), F(1, 2)) is rat.Cmp.EQ
-    assert rat.cmp(F(1), F(0)) is rat.Cmp.GT
-
-
 def test_parse_format_round_trip():
     for text in ["0", "1", "3/4", "7/10"]:
         assert rat.format_rat(rat.parse_rat01(text)) == text
@@ -46,17 +40,6 @@ def test_parse_rejects():
         rat.parse_rat("1/0")
     with pytest.raises(UsageError):
         rat.parse_rat("x")
-
-
-def test_connective_eval_dispatch():
-    assert rat.connective_eval("tsub", [F(7, 10), F(3, 10)]) == F(2, 5)
-    assert rat.connective_eval("tmul", [F(3), F(1, 2)]) == 1
-    with pytest.raises(UsageError):
-        rat.connective_eval("tsub", [F(1, 2)])
-    with pytest.raises(UsageError):
-        rat.connective_eval("nope", [F(1, 2)])
-    with pytest.raises(UsageError):
-        rat.connective_eval("neg", [F(5, 4)])
 
 
 @given(units, units)
