@@ -15,7 +15,7 @@ from .errors import PreconditionError, UsageError
 from .logic import (FinStructure, check_seed_prefix, eval_formula,
                     fill_value, format_formula, free_vars)
 from .metric import (PartialIsometry, QUPrefix, append_point_completion,
-                     extend_partial_isometry, qu_extend)
+                     extend_partial_isometry, mirrors, qu_extend)
 from .rat import ZERO, Rat01, check_rat01, format_rat
 
 
@@ -117,9 +117,7 @@ def _mirror_extend(work: QUPrefix, g: PartialIsometry, z: int,
     values = tuple(work.space.d(z, s) for s in g.sources)
     left = list(g.sources) + [z]
     new_at = len(left) - 1
-    for p in work.space.points:
-        if any(work.space.d(p, a) != v for a, v in zip(anchors, values)):
-            continue
+    for p in mirrors(work.space, g, z):
         if _atom_gap(M, work.space, left, list(g.targets) + [p], tol,
                      new_at) is None:
             g2 = g.extend(z, p)

@@ -22,6 +22,7 @@ KEYWORDS = ("neg", "half", "tsub", "tadd", "tmul", "min", "max", "absdiff",
             "sup", "inf", "d")
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_INT = re.compile(r"[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -239,7 +240,7 @@ class _Parser:
 
     def _int(self) -> int:
         self._skip_ws()
-        m = re.compile(r"\d+").match(self.text, self.pos)
+        m = _INT.match(self.text, self.pos)
         if not m:
             self.fail("expected integer")
         self.pos = m.end()

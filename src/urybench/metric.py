@@ -5,6 +5,10 @@ sets with a complete feasibility decision (witness or violated-chain
 certificate), admissibility of one-point extensions, the canonical
 incrementally-built universal prefix (QUPrefix / qu_extend), and partial
 isometries with exact extension.
+
+A FinMetric stores integer numerators over one per-space denominator and
+rescales its rows on demand, so schedule growth, mirror search and the
+text reader run on integers; Fraction appears only at the API and in text.
 """
 
 from __future__ import annotations
@@ -12,7 +16,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import itemgetter
 
 from .errors import PreconditionError, UsageError
 from .rat import ONE, ZERO, format_rat, parse_rat01
@@ -29,15 +34,24 @@ def _pair(a: int, b: int) -> tuple[int, int]:
 class FinMetric:
     """Finite metric space on points 0..n-1 with rational distances in (0, 1].
 
-    Distances are stored as lower-triangle rows; symmetry and d(a,a)=0 are
-    structural.  Triangle validity is guaranteed for spaces built through
-    append_point with admissible distance vectors; check() re-verifies.
+    Distances are stored as lower-triangle rows of integer numerators over
+    one per-space denominator: d(a, b) = _rows[b][a] / _den for a < b.  A
+    distance whose denominator does not divide _den first rescales every
+    row to the lcm.  d() returns one shared Fraction per numerator;
+    equality and hashing go by distances, whatever the denominators.
+    Symmetry and d(a,a)=0 are structural.  Triangle validity is guaranteed
+    for spaces built through append_point with admissible distance vectors;
+    check() re-verifies.
     """
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_rows", "_den", "_vals")
 
     def __init__(self) -> None:
-        self._rows: list[list[Fraction]] = []
+        self._rows: list[list[int]] = []
+        self._den = 1
+        # numerator -> the Fraction d() hands out; holds every numerator
+        # in _rows
+        self._vals: dict[int, Fraction] = {}
 
     @property
     def n(self) -> int:
@@ -54,9 +68,44 @@ class FinMetric:
             return ZERO
         lo, hi = (a, b) if a < b else (b, a)
         try:
-            return self._rows[hi][lo]
+            return self._vals[self._rows[hi][lo]]
         except IndexError:
             raise UsageError(f"unknown point pair ({a}, {b})") from None
+
+    def _num(self, a: int, b: int) -> int:
+        """Numerator of d(a, b) over _den; a and b must be points."""
+        if a == b:
+            return 0
+        return self._rows[a][b] if a > b else self._rows[b][a]
+
+    def _column(self, a: int) -> list[int]:
+        """Numerators of d(a, z) for z = 0..n-1."""
+        rows = self._rows
+        return rows[a] + [0] + list(map(itemgetter(a), rows[a + 1:]))
+
+    def _rescale(self, den: int) -> None:
+        """Move every row to den, a multiple of the current denominator."""
+        f = den // self._den
+        if f != 1:
+            self._rows = [[v * f for v in row] for row in self._rows]
+            self._den = den
+            self._vals = {k * f: v for k, v in self._vals.items()}
+
+    def _lattice(self, values) -> list[int]:
+        """Numerators of the given rationals over _den, after rescaling to
+        a denominator that holds them all."""
+        den = lcm(self._den, *(v.denominator for v in values))
+        self._rescale(den)
+        nums = [v.numerator * (den // v.denominator) for v in values]
+        self._vals.update(zip(nums, values))
+        return nums
+
+    def _append_row(self, row: list[int]) -> int:
+        """Append a point at the given numerators over _den."""
+        for k in set(row).difference(self._vals):
+            self._vals[k] = Fraction(k, self._den)
+        self._rows.append(row)
+        return len(self._rows) - 1
 
     def append_point(self, dists: list[Fraction]) -> int:
         """Add point n with the given distances to points 0..n-1."""
@@ -65,24 +114,35 @@ class FinMetric:
         for v in dists:
             if not 0 < v <= 1:
                 raise UsageError(f"distance {v} outside (0, 1]")
-        self._rows.append(list(dists))
-        return self.n - 1
+        return self._append_row(self._lattice(dists))
 
     def copy(self) -> "FinMetric":
         m = FinMetric()
         m._rows = [row.copy() for row in self._rows]
+        m._den, m._vals = self._den, self._vals
         return m
 
+    def _reduced(self) -> tuple:
+        """(denominator, rows) over the least denominator holding every
+        distance: equal spaces give equal values."""
+        g = gcd(self._den, *itertools.chain.from_iterable(self._rows))
+        return self._den // g, tuple(tuple(v // g for v in row) for row in self._rows)
+
     def __eq__(self, other) -> bool:
-        return isinstance(other, FinMetric) and self._rows == other._rows
+        if not isinstance(other, FinMetric):
+            return False
+        if self._den == other._den:
+            return self._rows == other._rows
+        return self._reduced() == other._reduced()
 
     def __hash__(self):
-        return hash(tuple(tuple(row) for row in self._rows))
+        return hash(self._reduced())
 
     def check(self) -> None:
         """Re-verify the metric axioms; raises PreconditionError on violation."""
+        num = self._num
         for a, b, c in itertools.combinations(self.points, 3):
-            dab, dac, dbc = self.d(a, b), self.d(a, c), self.d(b, c)
+            dab, dac, dbc = num(a, b), num(a, c), num(b, c)
             if dab > dac + dbc or dac > dab + dbc or dbc > dab + dac:
                 raise PreconditionError(f"triangle violated on ({a}, {b}, {c})")
 
@@ -95,51 +155,105 @@ class FinMetric:
         return max(self.d(a, b) for a, b in zip(s, t))
 
     def to_text(self) -> str:
+        text = {v: format_rat(self._vals[v]) for v in
+                set(itertools.chain.from_iterable(self._rows))}
         lines = [f"point {i}" for i in self.points]
-        for b in self.points:
-            for a in range(b):
-                lines.append(f"dist {a} {b} {format_rat(self._rows[b][a])}")
+        for b, row in enumerate(self._rows):
+            lines += [f"dist {a} {b} {text[v]}" for a, v in enumerate(row)]
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "FinMetric":
-        ids, dists = _parse_point_dist_lines(text, allow_extra=False)
-        return _metric_from_parsed(ids, dists)
+        return _read_points(text, allow_extra=False)[0]
 
 
-def _parse_point_dist_lines(text: str, allow_extra: bool):
-    """Shared line parser; returns (ids, {pair: value}).  Lines other than
-    point/dist raise unless allow_extra, in which case they are returned."""
-    ids: list[int] = []
-    dists: dict[tuple[int, int], Fraction] = {}
-    extra: list[tuple[int, list[str]]] = []
+def _lines(text: str):
+    """(line number, tokens) of every non-blank line; '#' starts a comment
+    that runs to the end of its line."""
     for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] == "point":
+        parts = raw.partition("#")[0].split()
+        if parts:
+            yield ln, parts
+
+
+def _dist_line(ln: int, parts: list[str], ids: dict, vals: dict, value):
+    """(lo, hi, value(v)) of a `dist a b v` line.  ids and vals cache the
+    parsed id tokens and value(v) per value token."""
+    if len(parts) != 4:
+        raise UsageError(f"line {ln}: dist takes two ids and a value")
+    _, ta, tb, tv = parts
+    a = ids.get(ta)
+    if a is None:
+        a = ids[ta] = _parse_id(ta, ln)
+    b = ids.get(tb)
+    if b is None:
+        b = ids[tb] = _parse_id(tb, ln)
+    if a == b:
+        raise UsageError(f"line {ln}: dist needs distinct points")
+    v = vals.get(tv)
+    if v is None:
+        v = vals[tv] = value(tv)
+    return (a, b, v) if a < b else (b, a, v)
+
+
+def _read_points(text: str, allow_extra: bool):
+    """One pass over point/dist lines, straight into lower-triangle rows.
+
+    Returns (FinMetric, extra) where extra lists the (line number, tokens)
+    of other lines; those raise unless allow_extra.  While reading, a row
+    holds the index of each distinct distance in `seen`, and None for a
+    pair not given yet.
+    """
+    ids: list[int] = []
+    id_of: dict[str, int] = {}
+    val_of: dict[str, int] = {}
+    seen: dict[Fraction, int] = {}
+    rows: list[list] = []
+    grew: list[int] = []  # ids that first lengthened rows, in line order
+    extra: list[tuple[int, list[str]]] = []
+
+    def value(tok: str) -> int:
+        v = parse_rat01(tok)
+        if not v:
+            raise UsageError(f"distance {v} outside (0, 1]")
+        return seen.setdefault(v, len(seen))
+
+    for ln, parts in _lines(text):
+        tag = parts[0]
+        if tag == "dist":
+            lo, hi, k = _dist_line(ln, parts, id_of, val_of, value)
+            if hi >= len(rows):
+                grew.append(hi)
+                rows += ([None] * i for i in range(len(rows), hi + 1))
+            row = rows[hi]
+            if row[lo] is not None and row[lo] != k:
+                raise UsageError(f"line {ln}: conflicting dist for {(lo, hi)}")
+            row[lo] = k
+        elif tag == "point":
             if len(parts) != 2:
                 raise UsageError(f"line {ln}: point takes one id")
-            ids.append(_parse_id(parts[1], ln))
-        elif parts[0] == "dist":
-            if len(parts) != 4:
-                raise UsageError(f"line {ln}: dist takes two ids and a value")
-            a, b = _parse_id(parts[1], ln), _parse_id(parts[2], ln)
-            if a == b:
-                raise UsageError(f"line {ln}: dist needs distinct points")
-            v = parse_rat01(parts[3])
-            key = _pair(a, b)
-            if key in dists and dists[key] != v:
-                raise UsageError(f"line {ln}: conflicting dist for {key}")
-            dists[key] = v
+            i = id_of.get(parts[1])
+            if i is None:
+                i = id_of[parts[1]] = _parse_id(parts[1], ln)
+            ids.append(i)
         elif allow_extra:
             extra.append((ln, parts))
         else:
-            raise UsageError(f"line {ln}: unknown directive {parts[0]!r}")
-    if allow_extra:
-        return ids, dists, extra
-    return ids, dists
+            raise UsageError(f"line {ln}: unknown directive {tag!r}")
+    n = len(ids)
+    if sorted(ids) != list(range(n)):
+        raise UsageError("point ids must be exactly 0..n-1")
+    rows += ([None] * i for i in range(len(rows), n))
+    for i, row in enumerate(rows[:n]):
+        if None in row:
+            raise UsageError(f"missing dist for pair {(row.index(None), i)}")
+    for hi in grew:
+        if hi >= n:
+            raise UsageError(f"dist references unknown point {hi}")
+    m = FinMetric()
+    nums = m._lattice(list(seen))
+    m._rows = [list(map(nums.__getitem__, row)) for row in rows]
+    return m, extra
 
 
 def parse_id(tok: str, what: str = "point id", where: str = "") -> int:
@@ -163,24 +277,6 @@ def _parse_id(tok: str, ln: int) -> int:
         raise UsageError(f"line {ln}: {exc}") from None
 
 
-def _metric_from_parsed(ids, dists) -> FinMetric:
-    if sorted(ids) != list(range(len(ids))):
-        raise UsageError("point ids must be exactly 0..n-1")
-    m = FinMetric()
-    for i in range(len(ids)):
-        row = []
-        for j in range(i):
-            key = (j, i)
-            if key not in dists:
-                raise UsageError(f"missing dist for pair {key}")
-            row.append(dists[key])
-        m.append_point(row)
-    for key in dists:
-        if key[1] >= len(ids):
-            raise UsageError(f"dist references unknown point {key[1]}")
-    return m
-
-
 def one_point_admissible(space: FinMetric, r: dict[int, Fraction]) -> bool:
     """Can a new point be appended at the given distances to every point?
 
@@ -194,13 +290,14 @@ def one_point_admissible(space: FinMetric, r: dict[int, Fraction]) -> bool:
             raise PreconditionError(f"r({a}) = 0 would duplicate the point")
         if not 0 < v <= 1:
             raise UsageError(f"r({a}) = {v} outside (0, 1]")
-    return _admissible_over(space, tuple(r), tuple(r[a] for a in r))
+    return _admissible_over(space.d, tuple(r), tuple(r[a] for a in r))
 
 
-def _admissible_over(space: FinMetric, anchors: tuple[int, ...],
-                     values: tuple[Fraction, ...]) -> bool:
+def _admissible_over(dist, anchors: tuple[int, ...], values: tuple) -> bool:
+    """Triangle test of the values against dist over the anchors; dist and
+    values are both Fractions or both numerators over one denominator."""
     for (i, a), (j, b) in itertools.combinations(enumerate(anchors), 2):
-        dab = space.d(a, b)
+        dab = dist(a, b)
         ra, rb = values[i], values[j]
         if abs(ra - rb) > dab or ra + rb < dab:
             return False
@@ -274,13 +371,29 @@ class PartialConstraintSet:
 
     @classmethod
     def from_text(cls, text: str) -> "PartialConstraintSet":
-        ids, dists, extra = _parse_point_dist_lines(text, allow_extra=True)
+        ids: list[int] = []
+        dists: dict[tuple[int, int], Fraction] = {}
+        bounds: list[tuple[int, list[str]]] = []
+        id_of: dict[str, int] = {}
+        val_of: dict[str, Fraction] = {}
+        for ln, parts in _lines(text):
+            if parts[0] == "point":
+                if len(parts) != 2:
+                    raise UsageError(f"line {ln}: point takes one id")
+                ids.append(_parse_id(parts[1], ln))
+            elif parts[0] == "dist":
+                a, b, v = _dist_line(ln, parts, id_of, val_of, parse_rat01)
+                if dists.get((a, b), v) != v:
+                    raise UsageError(f"line {ln}: conflicting dist for {(a, b)}")
+                dists[a, b] = v
+            elif parts[0] in ("lower", "upper"):
+                bounds.append((ln, parts))
+            else:
+                raise UsageError(f"line {ln}: unknown directive {parts[0]!r}")
         c = cls(ids)
         for (a, b), v in dists.items():
             c.add_exact(a, b, v)
-        for ln, parts in extra:
-            if parts[0] not in ("lower", "upper"):
-                raise UsageError(f"line {ln}: unknown directive {parts[0]!r}")
+        for ln, parts in bounds:
             if len(parts) not in (4, 5):
                 raise UsageError(f"line {ln}: {parts[0]} takes ids, value, [strict]")
             strict = False
@@ -572,8 +685,7 @@ class QUPrefix:
 
     @classmethod
     def from_text(cls, text: str) -> "QUPrefix":
-        ids, dists, extra = _parse_point_dist_lines(text, allow_extra=True)
-        space = _metric_from_parsed(ids, dists)
+        space, extra = _read_points(text, allow_extra=True)
         snapshots: dict[int, int] = {}
         cursor = None
         for ln, parts in extra:
@@ -597,14 +709,15 @@ class QUPrefix:
 
 
 def _extension_types(space: FinMetric, anchors: tuple[int, ...],
-                     values: list[Fraction]):
-    """Admissible distance vectors over the anchor tuple, lex order."""
+                     values: list[int]):
+    """Admissible distance vectors over the anchor tuple, lex order, as
+    numerators over the space's denominator."""
     k = len(anchors)
     if k == 0:
         yield ()
         return
-    dmat = [[space.d(a, b) for b in anchors] for a in anchors]
-    picked: list[Fraction] = []
+    dmat = [[space._num(a, b) for b in anchors] for a in anchors]
+    picked: list[int] = []
 
     def rec(i: int):
         if i == k:
@@ -625,44 +738,33 @@ def _extension_types(space: FinMetric, anchors: tuple[int, ...],
     yield from rec(0)
 
 
-def _stage_items(space: FinMetric, snapshot: int, k: int, bound: int):
+def _stage_items(space: FinMetric, snapshot: int, k: int, values: list[int]):
     """Schedule items of one stage: (anchor subset, admissible type) pairs,
     subsets of the stage-start snapshot by (size, lex), types by lex."""
-    values = denom_values(bound)
     for size in range(0, k + 1):
         for anchors in itertools.combinations(range(snapshot), size):
             for typ in _extension_types(space, anchors, values):
                 yield anchors, typ
 
 
-def _realized(space: FinMetric, anchors: tuple[int, ...],
-              typ: tuple[Fraction, ...]) -> bool:
+def _amalgam(top: int, n: int, anchors: tuple[int, ...], cols: list[list[int]],
+             typ: tuple[int, ...]) -> list[int]:
+    """Distances of a new point to points 0..n-1 at the admissible anchor
+    distances typ: the one-point amalgam min(top, min_a(r_a + d(a, z))),
+    where cols[i] holds d(anchors[i], z) and top is 1 over the same
+    denominator.  Admissibility makes it r_a at each anchor a."""
     if not anchors:
-        return space.n > 0
-    for p in space.points:
-        for a, v in zip(anchors, typ):
-            if space.d(p, a) != v:
-                break
-        else:
-            return True
-    return False
+        return [top] * n
+    return list(map(min, itertools.repeat(top, n),
+                    *[map(r.__add__, col) for r, col in zip(typ, cols)]))
 
 
 def _append_extension(space: FinMetric, anchors: tuple[int, ...],
-                      typ: tuple[Fraction, ...]) -> int:
-    """Append a point at the given anchor distances; remaining distances take
-    the one-point amalgam completion min(1, min_a(r_a + d(a, z)))."""
-    assigned = dict(zip(anchors, typ))
-    dists = []
-    for z in space.points:
-        if z in assigned:
-            dists.append(assigned[z])
-        elif not anchors:
-            dists.append(ONE)
-        else:
-            v = min(r + space.d(a, z) for a, r in assigned.items())
-            dists.append(v if v < 1 else ONE)
-    return space.append_point(dists)
+                      typ: tuple[int, ...]) -> int:
+    """Append a point at the given anchor distances, numerators over the
+    space's denominator; the rest take the amalgam completion."""
+    return space._append_row(_amalgam(space._den, space.n, anchors,
+                                      [space._column(a) for a in anchors], typ))
 
 
 def append_point_completion(space: FinMetric, known: dict[int, Fraction]) -> int:
@@ -682,9 +784,46 @@ def append_point_completion(space: FinMetric, known: dict[int, Fraction]) -> int
             raise PreconditionError(f"distance 0 to {a} would duplicate it")
         if not 0 < v <= 1:
             raise UsageError(f"distance {v} to {a} outside (0, 1]")
-    if not _admissible_over(space, anchors, typ):
+    nums = tuple(space._lattice(typ))
+    if not _admissible_over(space._num, anchors, nums):
         raise PreconditionError("pinned distances violate a triangle bound")
-    return _append_extension(space, anchors, typ)
+    return _append_extension(space, anchors, nums)
+
+
+def _walk(out: QUPrefix):
+    """Advance out's schedule cursor in place, item by item.
+
+    Yields True after each item and False after each roll to the next
+    stage.  An item is skipped if some point already realizes its type,
+    found through an index from anchor column to the smallest point with
+    that column, built once per anchor subset and kept up to date on
+    append; else a new point realizes it.
+    """
+    space = out.space
+    while True:
+        k, bound = stage_params(out.stage)
+        values = space._lattice(denom_values(bound))
+        top = space._den
+        current, cols, index = None, [], {}
+        items = _stage_items(space, out.snapshots[out.stage], k, values)
+        for anchors, typ in itertools.islice(items, out.pos, None):
+            if anchors != current:
+                current = anchors
+                cols = [space._column(a) for a in anchors]
+                index = {} if anchors or not space.n else {(): 0}
+                for p, col in enumerate(zip(*cols)):
+                    index.setdefault(col, p)
+            if typ not in index:
+                index[typ] = space._append_row(
+                    _amalgam(top, space.n, anchors, cols, typ))
+                for col, r in zip(cols, typ):
+                    col.append(r)
+            out.pos += 1
+            yield True
+        out.stage += 1
+        out.pos = 0
+        out.snapshots.append(space.n)
+        yield False
 
 
 def qu_extend(prefix: QUPrefix, steps: int) -> QUPrefix:
@@ -699,41 +838,20 @@ def qu_extend(prefix: QUPrefix, steps: int) -> QUPrefix:
     if steps < 0:
         raise UsageError("steps must be >= 0")
     out = prefix.copy()
-    space = out.space
-    remaining = steps
-    while remaining > 0:
-        k, bound = stage_params(out.stage)
-        items = itertools.islice(
-            _stage_items(space, out.snapshots[out.stage], k, bound),
-            out.pos, None)
-        while remaining > 0:
-            nxt = next(items, None)
-            if nxt is None:  # stage exhausted: roll to the next one
-                out.stage += 1
-                out.pos = 0
-                out.snapshots.append(space.n)
-                break
-            anchors, typ = nxt
-            if not _realized(space, anchors, typ):
-                _append_extension(space, anchors, typ)
-            out.pos += 1
-            remaining -= 1
+    walk = _walk(out)
+    while steps:
+        if next(walk):
+            steps -= 1
     return out
 
 
 def qu_complete_stage(prefix: QUPrefix, through_stage: int) -> QUPrefix:
     """Extend until the cursor sits at the start of stage through_stage + 1."""
     out = prefix.copy()
-    while out.stage <= through_stage:
-        k, bound = stage_params(out.stage)
-        total = sum(1 for _ in _stage_items(
-            out.space, out.snapshots[out.stage], k, bound))
-        if total > out.pos:
-            out = qu_extend(out, total - out.pos)
-        if out.stage <= through_stage:
-            out.stage += 1
-            out.pos = 0
-            out.snapshots.append(out.space.n)
+    if out.stage <= through_stage:
+        for _ in _walk(out):
+            if out.stage > through_stage:
+                break
     return out
 
 
@@ -798,11 +916,7 @@ class PartialIsometry:
     @classmethod
     def from_text(cls, text: str) -> "PartialIsometry":
         pairs = []
-        for ln, raw in enumerate(text.splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
+        for ln, parts in _lines(text):
             if parts[0] != "pair" or len(parts) != 3:
                 raise UsageError(f"line {ln}: expected 'pair <src> <tgt>'")
             pairs.append((_parse_id(parts[1], ln), _parse_id(parts[2], ln)))
@@ -826,15 +940,24 @@ def extend_partial_isometry(prefix: QUPrefix, gamma: PartialIsometry,
             raise UsageError(f"unknown source point {c}")
         if g.defined_on(c):
             continue
-        anchors = tuple(g.targets)
-        values = tuple(out.space.d(c, s) for s in g.sources)
-        target = None
-        for p in out.space.points:
-            if all(out.space.d(p, a) == v for a, v in zip(anchors, values)):
-                target = p
-                break
+        target = next(mirrors(out.space, g, c), None)
         if target is None:
-            target = _append_extension(out.space, anchors, values)
+            target = _append_extension(out.space, tuple(g.targets), tuple(
+                out.space._num(c, s) for s in g.sources))
         g = g.extend(c, target)
     g.validate(out.space)
     return out, g
+
+
+def mirrors(space: FinMetric, g: PartialIsometry, z: int):
+    """The points p with d(p, t) = d(z, s) for every pair (s, t) of g,
+    smallest first: the exact images of z for extending g.  z and the
+    points of g must be points of the space."""
+    want = [(space._column(t), space._num(z, s)) for s, t in g.pairs]
+    if not want:
+        yield from space.points
+        return
+    (first, v0), rest = want[0], want[1:]
+    for p in [p for p, x in enumerate(first) if x == v0]:
+        if all(col[p] == v for col, v in rest):
+            yield p

@@ -7,6 +7,7 @@ only adds range discipline, the connectives, and the p/q text format.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import UsageError
@@ -16,6 +17,10 @@ Rat01 = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+# ASCII digits only: int() would also take signs, blanks, underscores and
+# other scripts' digits
+_RAT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
 
 def check_rat01(x: Fraction) -> Fraction:
     if x < 0 or x > 1:
@@ -24,17 +29,14 @@ def check_rat01(x: Fraction) -> Fraction:
 
 
 def parse_rat(text: str) -> Fraction:
-    """Parse `p/q` (also bare integers; `0` and `1` are the usual shorthands)."""
-    s = text.strip()
-    try:
-        if "/" in s:
-            p, q = s.split("/", 1)
-            x = Fraction(int(p), int(q))
-        else:
-            x = Fraction(int(s))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad rational {text!r}") from exc
-    return x
+    """Parse `p/q` (also bare integers; `0` and `1` are the usual shorthands).
+
+    p and q are ASCII digit strings; p may carry a leading '-'.
+    """
+    m = _RAT.fullmatch(text.strip())
+    if m is None or (m[2] is not None and int(m[2]) == 0):
+        raise UsageError(f"bad rational {text!r}")
+    return Fraction(int(m[1]), int(m[2] or 1))
 
 
 def parse_rat01(text: str) -> Fraction:

@@ -3,11 +3,17 @@
 Everything here is exhaustive search over a fixed denominator grid, written
 against plain dicts and loops on purpose: no solver machinery from the
 package is reused, so these can serve as a second route for checking it.
+The Fraction references at the end reuse only the id and rational parsers,
+stage_params and FinMetric's public accessors.
 """
 
 import itertools
 import random
 from fractions import Fraction
+
+from urybench.errors import UsageError
+from urybench.metric import FinMetric, parse_id, stage_params
+from urybench.rat import parse_rat01
 
 
 def grid_values(den):
@@ -340,3 +346,178 @@ def mcshane_fill_reference(sig, seeds, space):
             out[tup] = best
         tables[spec.name] = out
     return tables
+
+
+# --- Fraction reference for the integer-lattice metric code -------------------
+#
+# The schedule, amalgam, mirror search and point/dist reader as they were
+# written on one Fraction per distance, before FinMetric stored integer
+# numerators.  Spaces are touched only through d(), n, points and
+# append_point, so these stay a second route for the lattice code.
+
+def _extension_types_reference(space, anchors, values):
+    k = len(anchors)
+    if k == 0:
+        yield ()
+        return
+    dmat = [[space.d(a, b) for b in anchors] for a in anchors]
+    picked = []
+
+    def rec(i):
+        if i == k:
+            yield tuple(picked)
+            return
+        for v in values:
+            ok = True
+            for j in range(i):
+                dij = dmat[i][j]
+                if abs(v - picked[j]) > dij or v + picked[j] < dij:
+                    ok = False
+                    break
+            if ok:
+                picked.append(v)
+                yield from rec(i + 1)
+                picked.pop()
+
+    yield from rec(0)
+
+
+def stage_items_reference(space, snapshot, k, bound):
+    """Schedule items of one stage with Fraction types."""
+    values = sorted({Fraction(p, q) for q in range(1, bound + 1)
+                     for p in range(1, q + 1)})
+    for size in range(0, k + 1):
+        for anchors in itertools.combinations(range(snapshot), size):
+            for typ in _extension_types_reference(space, anchors, values):
+                yield anchors, typ
+
+
+def realized_reference(space, anchors, typ):
+    """Does some point of the space sit at distances typ from anchors?"""
+    if not anchors:
+        return space.n > 0
+    for p in space.points:
+        for a, v in zip(anchors, typ):
+            if space.d(p, a) != v:
+                break
+        else:
+            return True
+    return False
+
+
+def append_extension_reference(space, anchors, typ):
+    """Append a point at the given anchor distances; the rest take
+    min(1, min_a(r_a + d(a, z)))."""
+    assigned = dict(zip(anchors, typ))
+    dists = []
+    for z in space.points:
+        if z in assigned:
+            dists.append(assigned[z])
+        elif not anchors:
+            dists.append(Fraction(1))
+        else:
+            v = min(r + space.d(a, z) for a, r in assigned.items())
+            dists.append(v if v < 1 else Fraction(1))
+    return space.append_point(dists)
+
+
+def qu_extend_reference(prefix, steps):
+    """Advance a copy of the prefix by steps schedule items, rescanning the
+    space for every item and re-enumerating each stage from its start."""
+    out = prefix.copy()
+    space = out.space
+    remaining = steps
+    while remaining > 0:
+        k, bound = stage_params(out.stage)
+        items = itertools.islice(
+            stage_items_reference(space, out.snapshots[out.stage], k, bound),
+            out.pos, None)
+        while remaining > 0:
+            nxt = next(items, None)
+            if nxt is None:
+                out.stage += 1
+                out.pos = 0
+                out.snapshots.append(space.n)
+                break
+            anchors, typ = nxt
+            if not realized_reference(space, anchors, typ):
+                append_extension_reference(space, anchors, typ)
+            out.pos += 1
+            remaining -= 1
+    return out
+
+
+def admissible_reference(space, known):
+    """Triangle test of pinned distances {anchor: value} against the space."""
+    for (a, ra), (b, rb) in itertools.combinations(known.items(), 2):
+        dab = space.d(a, b)
+        if abs(ra - rb) > dab or ra + rb < dab:
+            return False
+    return True
+
+
+def extend_isometry_reference(space, pairs, new_sources):
+    """Extend the isometry (list of (source, target)) over new_sources in
+    place on space: the smallest exact mirror, else an appended point."""
+    pairs = list(pairs)
+    for c in new_sources:
+        if any(s == c for s, _ in pairs):
+            continue
+        anchors = tuple(t for _, t in pairs)
+        values = tuple(space.d(c, s) for s, _ in pairs)
+        target = None
+        for p in space.points:
+            if all(space.d(p, a) == v for a, v in zip(anchors, values)):
+                target = p
+                break
+        if target is None:
+            target = append_extension_reference(space, anchors, values)
+        pairs.append((c, target))
+    return pairs
+
+
+def read_metric_reference(text, allow_extra):
+    """The pair-dict point/dist reader: returns (metric, extra lines) or
+    raises the UsageError the readers must give."""
+    ids = []
+    dists = {}
+    extra = []
+    for ln, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if parts[0] == "point":
+            if len(parts) != 2:
+                raise UsageError(f"line {ln}: point takes one id")
+            ids.append(parse_id(parts[1], where=f"line {ln}: "))
+        elif parts[0] == "dist":
+            if len(parts) != 4:
+                raise UsageError(f"line {ln}: dist takes two ids and a value")
+            a = parse_id(parts[1], where=f"line {ln}: ")
+            b = parse_id(parts[2], where=f"line {ln}: ")
+            if a == b:
+                raise UsageError(f"line {ln}: dist needs distinct points")
+            v = parse_rat01(parts[3])
+            key = (a, b) if a <= b else (b, a)
+            if key in dists and dists[key] != v:
+                raise UsageError(f"line {ln}: conflicting dist for {key}")
+            dists[key] = v
+        elif allow_extra:
+            extra.append((ln, parts))
+        else:
+            raise UsageError(f"line {ln}: unknown directive {parts[0]!r}")
+    if sorted(ids) != list(range(len(ids))):
+        raise UsageError("point ids must be exactly 0..n-1")
+    m = FinMetric()
+    for i in range(len(ids)):
+        row = []
+        for j in range(i):
+            if (j, i) not in dists:
+                raise UsageError(f"missing dist for pair {(j, i)}")
+            row.append(dists[j, i])
+        m.append_point(row)
+    for key in dists:
+        if key[1] >= len(ids):
+            raise UsageError(f"dist references unknown point {key[1]}")
+    return m, extra

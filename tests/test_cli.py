@@ -514,6 +514,26 @@ def test_non_ascii_digit_id_is_usage_error(reader, tmp_path):
         ID_READERS[reader](tmp_path)
 
 
+# Rationals and formula integers take ASCII digits only; int() would also
+# read other scripts' digits, signs and underscores.
+@pytest.mark.parametrize("eps", ["\u0663/4", "1/\u0664", "+1/2", "1_0/20",
+                                 " +1_0/20 "])
+def test_non_ascii_rational_exits_2(demo, capsys, eps):
+    code, out, err = run(capsys, "backforth", "--prefix", demo["prefix.txt"],
+                         "--left", "0", "--right", "0", "--eps", eps,
+                         "--steps", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad rational")
+
+
+@pytest.mark.parametrize("formula", ["R(\u0663)", "tsub(R(x), \u0663/4)",
+                                     "tsub(R(x), 1/\u0664)"])
+def test_non_ascii_formula_digit_exits_2(demo, capsys, formula):
+    code, out, err = run(capsys, "parse", "--sig", demo["sig.txt"], formula)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
 def test_non_ascii_digit_id_exits_2(demo, capsys):
     code, _, err = run(capsys, "backforth", "--prefix", demo["prefix.txt"],
                        "--left", SUP2, "--right", "0", "--eps", "1/2",

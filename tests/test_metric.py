@@ -398,3 +398,25 @@ class TestExtendIsometry:
         with pytest.raises(PreconditionError):
             extend_partial_isometry(p, PartialIsometry([(0, 0), (1, 2)]),
                                     [3])
+
+
+# '#' starts a comment that runs to the end of the line in every reader.
+COMMENTED = {
+    "metric": (FinMetric.from_text, lambda m: m.to_text(),
+               "point 0  # first\npoint 1\ndist 0 1 1/2 # close\n"),
+    "prefix": (QUPrefix.from_text, lambda p: p.to_text(),
+               qu_extend(QUPrefix(), 4).to_text().replace(
+                   "\n", " # note\n")),
+    "isometry": (PartialIsometry.from_text, lambda g: g.to_text(),
+                 "pair 0 1 # swap\npair 1 0\n"),
+    "constraints": (PartialConstraintSet.from_text, lambda c: c.to_text(),
+                    "point 0\npoint 1 #\ndist 0 1 1/2#x\nlower 0 1 1/4 strict # lo\n"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(COMMENTED))
+def test_trailing_comment_is_ignored(kind):
+    read, write, text = COMMENTED[kind]
+    plain = "".join(line.partition("#")[0].rstrip() + "\n"
+                    for line in text.splitlines())
+    assert write(read(text)) == write(read(plain))
