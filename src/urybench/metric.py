@@ -119,7 +119,7 @@ class FinMetric:
     def copy(self) -> "FinMetric":
         m = FinMetric()
         m._rows = [row.copy() for row in self._rows]
-        m._den, m._vals = self._den, self._vals
+        m._den, m._vals = self._den, dict(self._vals)
         return m
 
     def _reduced(self) -> tuple:
@@ -129,11 +129,7 @@ class FinMetric:
         return self._den // g, tuple(tuple(v // g for v in row) for row in self._rows)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, FinMetric):
-            return False
-        if self._den == other._den:
-            return self._rows == other._rows
-        return self._reduced() == other._reduced()
+        return isinstance(other, FinMetric) and self._reduced() == other._reduced()
 
     def __hash__(self):
         return hash(self._reduced())
@@ -201,15 +197,17 @@ def _read_points(text: str, allow_extra: bool):
 
     Returns (FinMetric, extra) where extra lists the (line number, tokens)
     of other lines; those raise unless allow_extra.  While reading, a row
-    holds the index of each distinct distance in `seen`, and None for a
-    pair not given yet.
+    maps each given entry to the index of its distance in `seen`; once all
+    its entries are given it becomes a list.  Memory therefore grows with
+    the lines read, never with the size of an id in them.
     """
     ids: list[int] = []
     id_of: dict[str, int] = {}
     val_of: dict[str, int] = {}
     seen: dict[Fraction, int] = {}
-    rows: list[list] = []
-    grew: list[int] = []  # ids that first lengthened rows, in line order
+    full: dict[int, list[int]] = {0: []}
+    part: dict[int, dict[int, int]] = {}
+    grew: list[int] = []  # row ids in the order of their first dist line
     extra: list[tuple[int, list[str]]] = []
 
     def value(tok: str) -> int:
@@ -222,13 +220,19 @@ def _read_points(text: str, allow_extra: bool):
         tag = parts[0]
         if tag == "dist":
             lo, hi, k = _dist_line(ln, parts, id_of, val_of, value)
-            if hi >= len(rows):
-                grew.append(hi)
-                rows += ([None] * i for i in range(len(rows), hi + 1))
-            row = rows[hi]
-            if row[lo] is not None and row[lo] != k:
+            given = part.get(hi)
+            if given is None and hi in full:
+                old = full[hi][lo]
+            else:
+                if given is None:
+                    given = part[hi] = {}
+                    grew.append(hi)
+                old = given.setdefault(lo, k)
+                if len(given) == hi:
+                    full[hi] = list(map(given.__getitem__, range(hi)))
+                    del part[hi]
+            if old != k:
                 raise UsageError(f"line {ln}: conflicting dist for {(lo, hi)}")
-            row[lo] = k
         elif tag == "point":
             if len(parts) != 2:
                 raise UsageError(f"line {ln}: point takes one id")
@@ -243,16 +247,18 @@ def _read_points(text: str, allow_extra: bool):
     n = len(ids)
     if sorted(ids) != list(range(n)):
         raise UsageError("point ids must be exactly 0..n-1")
-    rows += ([None] * i for i in range(len(rows), n))
-    for i, row in enumerate(rows[:n]):
-        if None in row:
-            raise UsageError(f"missing dist for pair {(row.index(None), i)}")
+    for i in range(n):
+        if i not in full:
+            given = part.get(i, ())
+            # at most len(given) + 1 probes
+            j = next(j for j in range(i) if j not in given)
+            raise UsageError(f"missing dist for pair {(j, i)}")
     for hi in grew:
         if hi >= n:
             raise UsageError(f"dist references unknown point {hi}")
     m = FinMetric()
     nums = m._lattice(list(seen))
-    m._rows = [list(map(nums.__getitem__, row)) for row in rows]
+    m._rows = [list(map(nums.__getitem__, full[i])) for i in range(n)]
     return m, extra
 
 

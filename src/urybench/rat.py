@@ -17,9 +17,9 @@ Rat01 = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-# ASCII digits only: int() would also take signs, blanks, underscores and
-# other scripts' digits
-_RAT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+# ASCII digits only: int() would also take '+', underscores and other
+# scripts' digits.  Blanks around '/' stay allowed, as int() allowed them.
+_RAT = re.compile(r"(-?[0-9]+)(?:\s*/\s*([0-9]+))?")
 
 
 def check_rat01(x: Fraction) -> Fraction:
@@ -31,7 +31,8 @@ def check_rat01(x: Fraction) -> Fraction:
 def parse_rat(text: str) -> Fraction:
     """Parse `p/q` (also bare integers; `0` and `1` are the usual shorthands).
 
-    p and q are ASCII digit strings; p may carry a leading '-'.
+    p and q are ASCII digit strings; p may carry a leading '-'.  Blanks
+    may surround the text and the '/'.
     """
     m = _RAT.fullmatch(text.strip())
     if m is None or (m[2] is not None and int(m[2]) == 0):

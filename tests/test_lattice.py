@@ -8,6 +8,7 @@ the old Fraction code on the same input and requires the same result.
 """
 
 import re
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -129,7 +130,8 @@ def _mutate(text, fault, rng):
         del lines[i]
     elif fault == "unknown":
         lines.insert(rng.randrange(len(lines) + 1),
-                     f"dist {rng.randrange(n)} {n + rng.randrange(3)} 1/2")
+                     f"dist {rng.randrange(n)} "
+                     f"{n + rng.choice([0, 1, 2, 10**6, 10**12])} 1/2")
     else:
         j = rng.choice([i] + [k for k, line in enumerate(lines)
                               if line.startswith("point ")])
@@ -162,3 +164,49 @@ def test_reader_round_trips_reference_space():
     back = QUPrefix.from_text(prefix.to_text())
     assert back.space == prefix.space
     assert back.to_text() == prefix.to_text()
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(2, 40), st.randoms())
+def test_reader_takes_lines_in_any_order(steps, rng):
+    space = reference_prefix(steps).space
+    lines = space.to_text().splitlines()
+    rng.shuffle(lines)
+    text = "\n".join(lines) + "\n"
+    assert FinMetric.from_text(text) == read_metric_reference(text, False)[0]
+    assert FinMetric.from_text(text).to_text() == space.to_text()
+
+
+def _peak_bytes(read, text):
+    tracemalloc.start()
+    try:
+        with pytest.raises(UsageError) as exc:
+            read(text)
+        return tracemalloc.get_traced_memory()[1], str(exc.value)
+    finally:
+        tracemalloc.stop()
+
+
+READERS = {"metric": FinMetric.from_text, "prefix": QUPrefix.from_text}
+TAIL = {"metric": "", "prefix": "snapshot 0 0\nsnapshot 1 1\ncursor 1 0\n"}
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_large_unknown_id_allocates_nothing_for_it(reader):
+    # the moderate id comes first: a reader that sized its rows from the
+    # id would need about 36 MB here and fail before the large ids
+    for hi in (3000, 10**6, 10**12):
+        text = f"point 0\npoint 1\ndist 0 1 1/2\ndist 0 {hi} 1/2\n" + TAIL[reader]
+        peak, msg = _peak_bytes(READERS[reader], text)
+        assert msg == f"dist references unknown point {hi}"
+        assert msg == _message(lambda t: read_metric_reference(t, True), text)
+        assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_many_points_without_dists_allocate_no_rows(reader):
+    text = "".join(f"point {i}\n" for i in range(3000)) + \
+        "dist 0 2999 1/2\n" + TAIL[reader]
+    peak, msg = _peak_bytes(READERS[reader], text)
+    assert msg == "missing dist for pair (0, 1)"
+    assert peak < 4 << 20

@@ -78,7 +78,7 @@ def test_identities(x):
 
 
 @pytest.mark.parametrize("text", ["\u0663/4", "1/\u0664", " +1_0/20 ", "+1/2",
-                                  "1_0/20", "1 /2", "1/-2", "\u00b2"])
+                                  "1_0/20", "1/-2", "- 3/4", "\u00b2"])
 def test_parse_rat_takes_ascii_digits_only(text):
     with pytest.raises(UsageError):
         rat.parse_rat(text)
@@ -86,4 +86,5 @@ def test_parse_rat_takes_ascii_digits_only(text):
 
 def test_parse_rat_keeps_sign_and_blanks():
     assert rat.parse_rat(" -3/4 ") == F(-3, 4)
+    assert rat.parse_rat("1 / 2") == rat.parse_rat("1 /2") == F(1, 2)
     assert rat.parse_rat("6/8") == F(3, 4)
