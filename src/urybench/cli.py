@@ -480,6 +480,14 @@ def cmd_feas(args) -> int:
 # --- parser ------------------------------------------------------------------
 
 
+def _ascii_int(tok: str) -> int:
+    """Type of the integer options: ASCII digits only, as in every reader."""
+    try:
+        return parse_id(tok, "integer")
+    except UsageError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="urybench",
@@ -496,13 +504,13 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("qu-build", cmd_qu_build, "build a canonical space prefix")
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=_ascii_int, required=True)
     p.add_argument("-o", "--out", metavar="FILE")
 
     p = add("dist", cmd_dist, "distance between two prefix points")
     p.add_argument("--space", metavar="FILE")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
+    p.add_argument("a", type=_ascii_int)
+    p.add_argument("b", type=_ascii_int)
 
     p = add("extend-iso", cmd_extend_iso,
             "extend a partial isometry over new sources")
@@ -510,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True, metavar="FILE")
     p.add_argument("-o", "--out", metavar="FILE",
                    help="write the grown prefix here")
-    p.add_argument("sources", type=int, nargs="+")
+    p.add_argument("sources", type=_ascii_int, nargs="+")
 
     p = add("parse", cmd_parse, "parse a formula and print it canonically")
     p.add_argument("--sig", metavar="FILE")
@@ -536,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
             "sequence-metric bounds between two structures")
     p.add_argument("--left", required=True, metavar="FILE")
     p.add_argument("--right", required=True, metavar="FILE")
-    p.add_argument("-m", type=int, required=True)
+    p.add_argument("-m", type=_ascii_int, required=True)
 
     p = add("cone-diam", cmd_cone_diam, "exact cone diameter")
     p.add_argument("--sig", metavar="FILE")
@@ -565,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", metavar="FILE")
     p.add_argument("--left", required=True, metavar="FILE")
     p.add_argument("--right", required=True, metavar="FILE")
-    p.add_argument("-N", dest="depth", type=int, required=True)
+    p.add_argument("-N", dest="depth", type=_ascii_int, required=True)
 
     p = add("sat", cmd_sat, "does the oracle point satisfy the cone")
     p.add_argument("--structure", required=True, metavar="FILE")
@@ -575,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("kappa", cmd_kappa, "canonical shrinking cone of an oracle point")
     p.add_argument("--structure", required=True, metavar="FILE")
     p.add_argument("--prefix", metavar="FILE")
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=_ascii_int, required=True)
 
     p = add("formal-incl", cmd_formal_incl,
             "syntactic inclusion certificate between radius cones")
@@ -590,21 +598,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--left", required=True, metavar="IDS")
     p.add_argument("--right", required=True, metavar="IDS")
     p.add_argument("--eps", required=True, metavar="RAT")
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=_ascii_int, required=True)
 
     p = add("sc-check", cmd_sc_check,
             "covering/extension check for a condition family")
     p.add_argument("--structure", required=True, metavar="FILE")
     p.add_argument("--family", required=True, metavar="FILE")
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=_ascii_int, required=True)
     p.add_argument("--eps", required=True, metavar="RAT")
 
     p = add("homog-test", cmd_homog_test,
             "near-homogeneity audit over small tuples")
     p.add_argument("--prefix", metavar="FILE")
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=_ascii_int, required=True)
     p.add_argument("--eps", required=True, metavar="RAT")
-    p.add_argument("--denom-bound", type=int, required=True)
+    p.add_argument("--denom-bound", type=_ascii_int, required=True)
 
     p = add("feas", cmd_feas, "decide a partial distance constraint set")
     p.add_argument("constraints", metavar="FILE")

@@ -20,7 +20,7 @@ from math import gcd, lcm
 from operator import itemgetter
 
 from .errors import PreconditionError, UsageError
-from .rat import ONE, ZERO, format_rat, parse_rat01
+from .rat import ZERO, format_rat, parse_rat01
 
 # A bound is (value, strict).  For uppers, (v, True) means "< v"; for lowers
 # "> v".  Ordering below treats a strict bound as tighter than a non-strict
@@ -452,126 +452,136 @@ class Infeasible:
     chain_bounds: list[tuple[Fraction, bool, str]]  # (value, strict, upper|exact|cap)
 
 
+def dbm_entry(v: Fraction, strict: bool, den: int) -> int:
+    """Integer entry of the bound "<= v" (or "< v" if strict) on the lattice
+    1/den: 2*v*den - strict, so a smaller entry is a tighter bound and the
+    order of entries is the order of _upper_stronger."""
+    return 2 * v.numerator * (den // v.denominator) - strict
+
+
+def dbm_close(m: list[list[int]]) -> list[list]:
+    """Close a matrix of dbm_entry values in place (Mine's strict DBMs, 2001).
+
+    m[i][j] bounds x_i - x_j.  Entries add as a + b + (a & b & 1), so two
+    strict steps stay one strict step.  Afterwards the system is
+    contradictory iff some m[i][i] < 0, and one more edge b from j to i is
+    consistent iff b + m[i][j] >= 0 (the correction never flips that sign:
+    two odd entries have an even sum).  Returns via, where via[i][j] is the
+    last k that tightened m[i][j], or None.
+    """
+    n = len(m)
+    via = [[None] * n for _ in range(n)]
+    for k in range(n):
+        rk = m[k]
+        for i in range(n):
+            row, vi = m[i], via[i]
+            a = row[k]
+            for j in range(n):
+                b = rk[j]
+                c = a + b + (a & b & 1)
+                if c < row[j]:
+                    row[j] = c
+                    vi[j] = k
+    return via
+
+
 def feasible(c: PartialConstraintSet):
     """Decide whether a diameter-<=1 metric satisfies every constraint.
 
     Returns Feasible(witness) with an exact rational witness, or
-    Infeasible(certificate) with a checkable chain.  Decision method:
-    shortest-path closure of upper bounds over a (value, strict) min-plus
-    order, then per-pair interval checks against the strongest lower
-    requirements; witnesses for strict instances come from re-closing a
-    delta-tightened system on the common denominator lattice.
+    Infeasible(certificate) with a checkable chain.  Both passes close the
+    upper bounds (exact values, uppers, and the cap 1 on every pair) with
+    dbm_close.  The decision pass encodes "<= v" as 2*v*L and "< v" as
+    2*v*L - 1 over the common denominator L, so dbm_close's sum
+    a + b + (a & b & 1) keeps two strict steps one strict step.  Each
+    pair's strongest lower-side requirement r (an entry bounding -d) is
+    then one more edge: the pair is contradictory iff upper + r < 0, and
+    the chain is read back from via.  The witness pass closes the all-even
+    entries 2*(v*D - strict) with D = 4*max(n-1, 1)*L, i.e. each strict
+    upper tightened by delta = 1/D, which stays on the safe side of the
+    1/L input lattice because path sums stay on it.
     """
     pts = list(c.points)
     n = len(pts)
     idx = {p: i for i, p in enumerate(pts)}
+    den = lcm(1, *(v.denominator for v in c.exact.values()),
+              *(v.denominator for v, _ in c.lower.values()),
+              *(v.denominator for v, _ in c.upper.values()))
 
-    upper = [[(ONE, False)] * n for _ in range(n)]
-    kind = [["cap"] * n for _ in range(n)]  # input edge kind backing upper[i][j]
-    for i in range(n):
-        upper[i][i] = (ZERO, False)
-
-    def tighten(a, b, bound, k):
-        i, j = idx[a], idx[b]
-        if _upper_stronger(bound, upper[i][j]):
-            upper[i][j] = upper[j][i] = bound
-            kind[i][j] = kind[j][i] = k
-
-    for (a, b), v in c.exact.items():
-        tighten(a, b, (v, False), "exact")
-    for (a, b), (v, s) in c.upper.items():
-        tighten(a, b, (v, s), "upper")
-
-    base = [row.copy() for row in upper]  # input edges, for chain reconstruction
-    via = [[None] * n for _ in range(n)]
-    closed = upper
-    for k in range(n):
-        rk = closed[k]
+    def system(lat: int, step: int):
+        """Upper-bound matrix with entries 2*v*lat - step*strict, and the
+        kind of input edge (exact, upper or the cap) behind each entry."""
+        m = [[2 * lat] * n for _ in range(n)]
+        kind = [["cap"] * n for _ in range(n)]
         for i in range(n):
-            uik = closed[i][k]
-            row = closed[i]
-            for j in range(n):
-                cand = (uik[0] + rk[j][0], uik[1] or rk[j][1])
-                if _upper_stronger(cand, row[j]):
-                    row[j] = cand
-                    via[i][j] = k
+            m[i][i] = 0
+        bounds = [(key, v, False, "exact") for key, v in c.exact.items()]
+        bounds += [(key, v, s, "upper") for key, (v, s) in c.upper.items()]
+        for (a, b), v, s, k in bounds:
+            i, j = idx[a], idx[b]
+            e = dbm_entry(v, False, lat) - step * s
+            if e < m[i][j]:
+                m[i][j] = m[j][i] = e
+                kind[i][j] = kind[j][i] = k
+        return m, kind
 
-    def chain_of(i, j) -> list[int]:
+    # Strongest lower-side requirement per pair as (entry bounding -d, value,
+    # strict, kind); a pair without one needs d > 0.
+    positivity = (-1, ZERO, True, "positivity")
+    need = {}
+    reqs = [(key, v, s, "lower") for key, (v, s) in c.lower.items()]
+    reqs += [(key, v, False, "exact") for key, v in c.exact.items()]
+    for key, v, s, k in reqs:
+        e = dbm_entry(-v, s, den)
+        if e < need.get(key, positivity)[0]:
+            need[key] = (e, v, s, k)
+
+    closed, kind = system(den, 1)
+    base = [row.copy() for row in closed]
+    via = dbm_close(closed)
+
+    def chain_of(i, j, stack=()) -> list[int] | None:
+        """Points of the path behind closed[i][j]; None if via loops, which
+        only going round a zero-weight strict cycle (an upper "< 0") does."""
         k = via[i][j]
         if k is None:
             return [i, j]
-        return chain_of(i, k)[:-1] + chain_of(k, j)
+        if (i, j) in stack:
+            return None
+        stack += ((i, j),)
+        left, right = chain_of(i, k, stack), chain_of(k, j, stack)
+        return None if left is None or right is None else left[:-1] + right
 
-    def requirement(i, j):
-        """Strongest lower-side requirement on pair (i, j) with its kind."""
-        a, b = pts[i], pts[j]
-        key = _pair(a, b)
-        best = (ZERO, True, "positivity")
-        if key in c.lower:
-            v, s = c.lower[key]
-            if _lower_stronger((v, s), best[:2]):
-                best = (v, s, "lower")
-        if key in c.exact:
-            v = c.exact[key]
-            if _lower_stronger((v, False), best[:2]):
-                best = (v, False, "exact")
-        return best
-
-    for i, j in itertools.combinations(range(n), 2):
-        lo, lo_strict, lo_kind = requirement(i, j)
-        up, up_strict = closed[i][j]
-        if lo < up or (lo == up and not lo_strict and not up_strict):
+    pairs = list(itertools.combinations(range(n), 2))
+    for i, j in pairs:
+        if closed[i][j] + need.get(_pair(pts[i], pts[j]), positivity)[0] >= 0:
             continue
         chain = chain_of(i, j)
+        if chain is None:
+            # the first upper "< 0" contradicts its pair's requirement alone
+            i, j = next((x, y) for x, y in pairs if base[x][y] < 0)
+            chain = [i, j]
+        _, lo, lo_strict, lo_kind = need.get(_pair(pts[i], pts[j]), positivity)
         bounds = []
         for x, y in zip(chain, chain[1:]):
-            v, s = base[x][y]
-            bounds.append((v, s, kind[x][y]))
+            s = base[x][y] & 1
+            bounds.append((Fraction((base[x][y] + s) // 2, den), bool(s),
+                           kind[x][y]))
         return Infeasible(
             pair=(pts[i], pts[j]), bound=lo, bound_strict=lo_strict,
             kind=lo_kind, chain=[pts[x] for x in chain], chain_bounds=bounds)
 
-    # Witness.  delta = 1/(4*(n-1)*L) keeps every tightened comparison on the
-    # safe side of the 1/L input lattice (path sums stay on the lattice).
-    denoms = [1]
-    for v in c.exact.values():
-        denoms.append(v.denominator)
-    for v, _ in c.lower.values():
-        denoms.append(v.denominator)
-    for v, _ in c.upper.values():
-        denoms.append(v.denominator)
-    delta = Fraction(1, 4 * max(n - 1, 1) * lcm(*denoms))
-
-    tight = [[(ONE, False)] * n for _ in range(n)]
-    for i in range(n):
-        tight[i][i] = (ZERO, False)
-
-    def tighten2(a, b, v):
-        i, j = idx[a], idx[b]
-        if v < tight[i][j][0]:
-            tight[i][j] = tight[j][i] = (v, False)
-
-    for (a, b), v in c.exact.items():
-        tighten2(a, b, v)
-    for (a, b), (v, s) in c.upper.items():
-        tighten2(a, b, v - delta if s else v)
-
-    for k in range(n):
-        for i in range(n):
-            uik = tight[i][k][0]
-            for j in range(n):
-                cand = uik + tight[k][j][0]
-                if cand < tight[i][j][0]:
-                    tight[i][j] = tight[j][i] = (cand, False)
-
+    lat = 4 * max(n - 1, 1) * den
+    tight, _ = system(lat, 2)
+    dbm_close(tight)
     witness: dict[tuple[int, int], Fraction] = {}
-    for i, j in itertools.combinations(range(n), 2):
-        w = tight[i][j][0]
-        lo, lo_strict, _ = requirement(i, j)
-        need = lo + delta if lo_strict else lo
-        if w < need:  # proven unreachable; guards against solver bugs
+    for i, j in pairs:
+        key = _pair(pts[i], pts[j])
+        _, lo, lo_strict, _ = need.get(key, positivity)
+        if tight[i][j] < dbm_entry(lo, False, lat) + 2 * lo_strict:
+            # proven unreachable; guards against solver bugs
             raise RuntimeError("tightened witness lost a lower bound")
-        witness[_pair(pts[i], pts[j])] = w
+        witness[key] = Fraction(tight[i][j], 2 * lat)
     return Feasible(witness)
 
 

@@ -10,11 +10,11 @@ metric whose truncations give certified two-sided bounds.
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from math import lcm
 
 from .errors import PreconditionError, UsageError
 from .logic import FinStructure, Signature
-from .metric import FinMetric, parse_id
+from .metric import FinMetric, dbm_close, dbm_entry, parse_id
 from .rat import ONE, ZERO, Rat01, format_rat, parse_rat
 
 
@@ -226,45 +226,6 @@ def cone_member(M, cone: StructureCone) -> bool:
     return True
 
 
-def _dbm_feasible(nvars: int, edges) -> bool:
-    """Difference-bound feasibility with strict flags.
-
-    Variables 0..nvars-1; edges are (i, j, bound, strict) meaning
-    x_i - x_j <= bound (< if strict).  Feasible iff the strictness-aware
-    shortest-path closure has no negative (or zero-with-strict) cycle.
-    """
-    big = (Fraction(10), False)
-    w = [[big] * nvars for _ in range(nvars)]
-    for i in range(nvars):
-        w[i][i] = (ZERO, False)
-    for i, j, bound, strict in edges:
-        cand = (bound, strict)
-        cur = w[i][j]
-        if cand[0] < cur[0] or (cand[0] == cur[0] and cand[1] and not cur[1]):
-            w[i][j] = cand
-    for k in range(nvars):
-        for i in range(nvars):
-            wik = w[i][k]
-            for j in range(nvars):
-                cand = (wik[0] + w[k][j][0], wik[1] or w[k][j][1])
-                cur = w[i][j]
-                if cand[0] < cur[0] or (cand[0] == cur[0] and cand[1]
-                                        and not cur[1]):
-                    w[i][j] = cand
-    for i in range(nvars):
-        v, strict = w[i][i]
-        if v < 0 or (v == 0 and strict):
-            return False
-    return True
-
-
-def _violation_branches(c: ConeConstraint):
-    """Ways a value can fall outside the constraint's interval, as
-    (kind, bound, strict) with kind 'le' (v <= bound) or 'ge'."""
-    yield ("le", c.lo, not c.lo_open)
-    yield ("ge", c.hi, not c.hi_open)
-
-
 def _slot_system(sig: Signature, space: FinMetric, cones):
     """Shared difference-bound scaffolding over the slots referenced by
     the given cones: unit-interval edges plus modulus couplings.
@@ -300,11 +261,30 @@ def _interval_edges(cone, slot_id):
     return out
 
 
+def _consistent(nvars: int, edges, extra):
+    """None if the system of edges (i, j, bound, strict), each meaning
+    x_i - x_j <= bound (< if strict), is contradictory; otherwise, for each
+    extra edge, whether the system stays consistent with it added.  Every
+    pair starts at the bound 1, which the unit-interval edges imply through
+    variable 0."""
+    den = lcm(*(bound.denominator for _, _, bound, _ in edges + extra))
+    m = [[2 * den] * nvars for _ in range(nvars)]
+    for i in range(nvars):
+        m[i][i] = 0
+    for i, j, bound, strict in edges:
+        m[i][j] = min(m[i][j], dbm_entry(bound, strict, den))
+    dbm_close(m)
+    if any(m[i][i] < 0 for i in range(nvars)):
+        return None
+    return [dbm_entry(b, strict, den) + m[v][u] >= 0
+            for u, v, b, strict in extra]
+
+
 def cone_nonempty(cone: StructureCone, space: FinMetric) -> bool:
     """Is some structure on the carrier inside the cone?"""
     slot_id, edges = _slot_system(cone.sig, space, [cone])
-    return _dbm_feasible(len(slot_id) + 1,
-                         edges + _interval_edges(cone, slot_id))
+    edges += _interval_edges(cone, slot_id)
+    return _consistent(len(slot_id) + 1, edges, []) is not None
 
 
 def cone_subset(c1: StructureCone, c2: StructureCone,
@@ -312,26 +292,25 @@ def cone_subset(c1: StructureCone, c2: StructureCone,
     """Decide whether every structure on the carrier realizing c1 also
     realizes c2.
 
-    For each way of breaking one c2 constraint, a difference-bound
-    system over the referenced slots (interval bounds plus the modulus
-    couplings between same-relation slots) is checked for a solution;
-    c1 is a subset of c2 exactly when every such system is infeasible.
-    Any partial slot assignment satisfying the couplings extends to a
-    total structure, so the finite system is conclusive.
+    The base system over the referenced slots (c1's interval bounds, the
+    unit interval and the modulus couplings between same-relation slots)
+    is closed once by metric.dbm_close, on entries 2*v*L - strict over the
+    common denominator L, with strict sums corrected to a + b + (a & b & 1).
+    If it is contradictory, c1 is empty.  Otherwise each way of breaking
+    one c2 constraint, x <= lo or x >= hi, is one more edge (u, v, b), and
+    it is consistent with c1 iff b + closed[v][u] >= 0, an O(1) test; c1 is
+    a subset of c2 exactly when no such edge is consistent.  Any partial
+    slot assignment satisfying the couplings extends to a total structure,
+    so the finite system is conclusive.
     """
     if c1.sig != c2.sig:
         raise PreconditionError("signatures differ")
-    slot_id, base_edges = _slot_system(c1.sig, space, [c1, c2])
-    base_edges = base_edges + _interval_edges(c1, slot_id)
-    nvars = len(slot_id) + 1
-
+    slot_id, edges = _slot_system(c1.sig, space, [c1, c2])
+    edges += _interval_edges(c1, slot_id)
+    breaks = []
     for c in c2.constraints:
         vid = slot_id[(c.rel, c.tup)]
-        for kind, bound, strict in _violation_branches(c):
-            if kind == "le":
-                extra = [(vid, 0, bound, strict)]
-            else:
-                extra = [(0, vid, -bound, strict)]
-            if _dbm_feasible(nvars, base_edges + extra):
-                return False
-    return True
+        breaks.append((vid, 0, c.lo, not c.lo_open))   # x <= lo
+        breaks.append((0, vid, -c.hi, not c.hi_open))  # x >= hi
+    ok = _consistent(len(slot_id) + 1, edges, breaks)
+    return ok is None or not any(ok)

@@ -4,10 +4,12 @@ Everything here is exhaustive search over a fixed denominator grid, written
 against plain dicts and loops on purpose: no solver machinery from the
 package is reused, so these can serve as a second route for checking it.
 The Fraction references at the end reuse only the id and rational parsers,
-stage_params and FinMetric's public accessors.
+stage_params, FinMetric's public accessors and the Feasible/Infeasible
+result records.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -521,3 +523,197 @@ def read_metric_reference(text, allow_extra):
         if key[1] >= len(ids):
             raise UsageError(f"dist references unknown point {key[1]}")
     return m, extra
+
+
+# --- Fraction reference for the integer difference-bound closure --------------
+#
+# feasible and the cone decisions as they were written on (Fraction, bool)
+# bounds, before one integer min-plus kernel served them: a decision pass,
+# a delta-tightened witness pass, and one full closure per way of breaking
+# a constraint of the right-hand cone.
+
+def _pair_reference(a, b):
+    return (a, b) if a <= b else (b, a)
+
+
+def _upper_stronger_reference(new, old):
+    return new[0] < old[0] or (new[0] == old[0] and new[1] and not old[1])
+
+
+def _lower_stronger_reference(new, old):
+    return new[0] > old[0] or (new[0] == old[0] and new[1] and not old[1])
+
+
+def feasible_reference(c):
+    """Feasible(witness) or Infeasible(certificate) for a
+    PartialConstraintSet, closed over (Fraction, strict) pairs."""
+    from urybench.metric import Feasible, Infeasible
+
+    pts = list(c.points)
+    n = len(pts)
+    idx = {p: i for i, p in enumerate(pts)}
+
+    upper = [[(Fraction(1), False)] * n for _ in range(n)]
+    kind = [["cap"] * n for _ in range(n)]
+    for i in range(n):
+        upper[i][i] = (Fraction(0), False)
+
+    def tighten(a, b, bound, k):
+        i, j = idx[a], idx[b]
+        if _upper_stronger_reference(bound, upper[i][j]):
+            upper[i][j] = upper[j][i] = bound
+            kind[i][j] = kind[j][i] = k
+
+    for (a, b), v in c.exact.items():
+        tighten(a, b, (v, False), "exact")
+    for (a, b), (v, s) in c.upper.items():
+        tighten(a, b, (v, s), "upper")
+
+    base = [row.copy() for row in upper]
+    via = [[None] * n for _ in range(n)]
+    closed = upper
+    for k in range(n):
+        rk = closed[k]
+        for i in range(n):
+            uik = closed[i][k]
+            row = closed[i]
+            for j in range(n):
+                cand = (uik[0] + rk[j][0], uik[1] or rk[j][1])
+                if _upper_stronger_reference(cand, row[j]):
+                    row[j] = cand
+                    via[i][j] = k
+
+    def chain_of(i, j):
+        k = via[i][j]
+        if k is None:
+            return [i, j]
+        return chain_of(i, k)[:-1] + chain_of(k, j)
+
+    def requirement(i, j):
+        key = _pair_reference(pts[i], pts[j])
+        best = (Fraction(0), True, "positivity")
+        if key in c.lower:
+            v, s = c.lower[key]
+            if _lower_stronger_reference((v, s), best[:2]):
+                best = (v, s, "lower")
+        if key in c.exact:
+            v = c.exact[key]
+            if _lower_stronger_reference((v, False), best[:2]):
+                best = (v, False, "exact")
+        return best
+
+    for i, j in itertools.combinations(range(n), 2):
+        lo, lo_strict, lo_kind = requirement(i, j)
+        up, up_strict = closed[i][j]
+        if lo < up or (lo == up and not lo_strict and not up_strict):
+            continue
+        chain = chain_of(i, j)
+        bounds = []
+        for x, y in zip(chain, chain[1:]):
+            v, s = base[x][y]
+            bounds.append((v, s, kind[x][y]))
+        return Infeasible(
+            pair=(pts[i], pts[j]), bound=lo, bound_strict=lo_strict,
+            kind=lo_kind, chain=[pts[x] for x in chain], chain_bounds=bounds)
+
+    denoms = [1]
+    denoms += [v.denominator for v in c.exact.values()]
+    denoms += [v.denominator for v, _ in c.lower.values()]
+    denoms += [v.denominator for v, _ in c.upper.values()]
+    lat = 1
+    for d in denoms:
+        lat = lat * d // math.gcd(lat, d)
+    delta = Fraction(1, 4 * max(n - 1, 1) * lat)
+
+    tight = [[(Fraction(1), False)] * n for _ in range(n)]
+    for i in range(n):
+        tight[i][i] = (Fraction(0), False)
+
+    def tighten2(a, b, v):
+        i, j = idx[a], idx[b]
+        if v < tight[i][j][0]:
+            tight[i][j] = tight[j][i] = (v, False)
+
+    for (a, b), v in c.exact.items():
+        tighten2(a, b, v)
+    for (a, b), (v, s) in c.upper.items():
+        tighten2(a, b, v - delta if s else v)
+
+    for k in range(n):
+        for i in range(n):
+            uik = tight[i][k][0]
+            for j in range(n):
+                cand = uik + tight[k][j][0]
+                if cand < tight[i][j][0]:
+                    tight[i][j] = tight[j][i] = (cand, False)
+
+    witness = {}
+    for i, j in itertools.combinations(range(n), 2):
+        w = tight[i][j][0]
+        lo, lo_strict, _ = requirement(i, j)
+        if w < (lo + delta if lo_strict else lo):
+            raise RuntimeError("tightened witness lost a lower bound")
+        witness[_pair_reference(pts[i], pts[j])] = w
+    return Feasible(witness)
+
+
+def _dbm_feasible_reference(nvars, edges):
+    """Edges (i, j, bound, strict) mean x_i - x_j <= bound (< if strict);
+    feasible iff the closure has no negative or zero-strict cycle."""
+    w = [[(Fraction(10), False)] * nvars for _ in range(nvars)]
+    for i in range(nvars):
+        w[i][i] = (Fraction(0), False)
+    for i, j, bound, strict in edges:
+        if _upper_stronger_reference((bound, strict), w[i][j]):
+            w[i][j] = (bound, strict)
+    for k in range(nvars):
+        for i in range(nvars):
+            wik = w[i][k]
+            for j in range(nvars):
+                cand = (wik[0] + w[k][j][0], wik[1] or w[k][j][1])
+                if _upper_stronger_reference(cand, w[i][j]):
+                    w[i][j] = cand
+    return all(v > 0 or (v == 0 and not s) for v, s in
+               (w[i][i] for i in range(nvars)))
+
+
+def _cone_system_reference(sig, space, cones, interval_cone):
+    """Slots of the cones, unit-interval edges, modulus couplings between
+    same-relation slots and the interval edges of interval_cone."""
+    slot = {}
+    for cone in cones:
+        for c in cone.constraints:
+            slot.setdefault((c.rel, c.tup), len(slot) + 1)
+    edges = []
+    for vid in slot.values():
+        edges.append((vid, 0, Fraction(1), False))
+        edges.append((0, vid, Fraction(0), False))
+    for (r1, t1), v1 in slot.items():
+        for (r2, t2), v2 in slot.items():
+            if v1 < v2 and r1 == r2:
+                cap = sig.get(r1).coeff * space.tuple_dist(t1, t2)
+                edges.append((v1, v2, cap, False))
+                edges.append((v2, v1, cap, False))
+    for c in interval_cone.constraints:
+        vid = slot[(c.rel, c.tup)]
+        edges.append((0, vid, -c.lo, c.lo_open))
+        edges.append((vid, 0, c.hi, c.hi_open))
+    return len(slot) + 1, slot, edges
+
+
+def cone_nonempty_reference(cone, space):
+    nvars, _, edges = _cone_system_reference(cone.sig, space, [cone], cone)
+    return _dbm_feasible_reference(nvars, edges)
+
+
+def cone_subset_reference(c1, c2, space):
+    """True iff no way of breaking one c2 constraint is consistent with c1,
+    each way closed from scratch."""
+    nvars, slot, edges = _cone_system_reference(c1.sig, space, [c1, c2], c1)
+    for c in c2.constraints:
+        vid = slot[(c.rel, c.tup)]
+        for extra in ((vid, 0, c.lo, not c.lo_open),
+                      (0, vid, -c.hi, not c.hi_open)):
+            if _dbm_feasible_reference(nvars, edges + [extra]):
+                return False
+    return True

@@ -540,3 +540,18 @@ def test_non_ascii_digit_id_exits_2(demo, capsys):
                        "--steps", "1")
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["qu-build", "--steps", "\u0663"],
+    ["dist", "--space", "{prefix}", "\u0661", "2"],
+    ["extend-iso", "--prefix", "{prefix}", "--map", "{map}", "\u0663"],
+    ["homog-test", "--prefix", "{prefix}", "-n", "\u0662", "--eps", "1/2",
+     "--denom-bound", "2"],
+])
+def test_non_ascii_integer_option_exits_2(demo, capsys, argv):
+    argv = [a.format(prefix=demo["prefix.txt"], map=demo["id.txt"])
+            for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "bad integer" in err
