@@ -74,11 +74,15 @@ def read_space(path: str) -> FinMetric:
 
 
 def _cone_kind(text: str, path: str) -> str:
+    """gcone, tcone or con; a file with no lines at all (after comments)
+    is the structure cone with no constraints, which to_text writes as ""."""
     kinds = set()
+    lines = 0
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        lines += 1
         head = line.split()[0]
         if head == "gcone":
             kinds.add("gcone")
@@ -90,7 +94,7 @@ def _cone_kind(text: str, path: str) -> str:
         return "gcone"
     if "tcone" in kinds and "gcone" not in kinds and "con" not in kinds:
         return "tcone"
-    if kinds == {"con"}:
+    if kinds == {"con"} or not lines:
         return "con"
     raise UsageError(f"{path}: cannot tell the cone kind apart")
 

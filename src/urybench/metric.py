@@ -116,6 +116,10 @@ class FinMetric:
                 raise UsageError(f"distance {v} outside (0, 1]")
         return self._append_row(self._lattice(dists))
 
+    def truncate(self, n: int) -> None:
+        """Drop the points n and above."""
+        del self._rows[n:]
+
     def copy(self) -> "FinMetric":
         m = FinMetric()
         m._rows = [row.copy() for row in self._rows]
@@ -775,14 +779,6 @@ def _amalgam(top: int, n: int, anchors: tuple[int, ...], cols: list[list[int]],
                     *[map(r.__add__, col) for r, col in zip(typ, cols)]))
 
 
-def _append_extension(space: FinMetric, anchors: tuple[int, ...],
-                      typ: tuple[int, ...]) -> int:
-    """Append a point at the given anchor distances, numerators over the
-    space's denominator; the rest take the amalgam completion."""
-    return space._append_row(_amalgam(space._den, space.n, anchors,
-                                      [space._column(a) for a in anchors], typ))
-
-
 def append_point_completion(space: FinMetric, known: dict[int, Fraction]) -> int:
     """Append a point with pinned distances to some anchors, completing the rest.
 
@@ -803,7 +799,8 @@ def append_point_completion(space: FinMetric, known: dict[int, Fraction]) -> int
     nums = tuple(space._lattice(typ))
     if not _admissible_over(space._num, anchors, nums):
         raise PreconditionError("pinned distances violate a triangle bound")
-    return _append_extension(space, anchors, nums)
+    return space._append_row(_amalgam(space._den, space.n, anchors,
+                                      [space._column(a) for a in anchors], nums))
 
 
 def _walk(out: QUPrefix):
@@ -854,11 +851,16 @@ def qu_extend(prefix: QUPrefix, steps: int) -> QUPrefix:
     if steps < 0:
         raise UsageError("steps must be >= 0")
     out = prefix.copy()
-    walk = _walk(out)
+    advance(out, steps)
+    return out
+
+
+def advance(prefix: QUPrefix, steps: int) -> None:
+    """qu_extend in place: advance prefix's schedule by steps items."""
+    walk = _walk(prefix)
     while steps:
         if next(walk):
             steps -= 1
-    return out
 
 
 def qu_complete_stage(prefix: QUPrefix, through_stage: int) -> QUPrefix:
@@ -919,10 +921,15 @@ class PartialIsometry:
 
     def validate(self, space: FinMetric) -> None:
         srcs, tgts = self.sources, self.targets
+        pts = space.points
+        for p in srcs + tgts:
+            if p not in pts:
+                raise UsageError(f"isometry names unknown point {p}")
         if len(set(srcs)) != len(srcs) or len(set(tgts)) != len(tgts):
             raise PreconditionError("isometry must be injective")
+        num = space._num
         for (s1, t1), (s2, t2) in itertools.combinations(self.pairs, 2):
-            if space.d(s1, s2) != space.d(t1, t2):
+            if num(s1, s2) != num(t1, t2):
                 raise PreconditionError(
                     f"not distance-preserving on ({s1},{s2}) -> ({t1},{t2})")
 
@@ -956,24 +963,27 @@ def extend_partial_isometry(prefix: QUPrefix, gamma: PartialIsometry,
             raise UsageError(f"unknown source point {c}")
         if g.defined_on(c):
             continue
-        target = next(mirrors(out.space, g, c), None)
-        if target is None:
-            target = _append_extension(out.space, tuple(g.targets), tuple(
-                out.space._num(c, s) for s in g.sources))
-        g = g.extend(c, target)
+        typ = tuple(out.space._num(c, s) for s in g.sources)
+        g = g.extend(c, extension_image(out.space, tuple(g.targets), typ))
     g.validate(out.space)
     return out, g
 
 
-def mirrors(space: FinMetric, g: PartialIsometry, z: int):
-    """The points p with d(p, t) = d(z, s) for every pair (s, t) of g,
-    smallest first: the exact images of z for extending g.  z and the
-    points of g must be points of the space."""
-    want = [(space._column(t), space._num(z, s)) for s, t in g.pairs]
-    if not want:
-        yield from space.points
-        return
-    (first, v0), rest = want[0], want[1:]
-    for p in [p for p, x in enumerate(first) if x == v0]:
-        if all(col[p] == v for col, v in rest):
-            yield p
+def extension_image(space: FinMetric, anchors: tuple[int, ...],
+                    typ: tuple[int, ...], accept=None) -> int | None:
+    """Image of a point at distance numerators typ from the anchors, the
+    targets of the partial isometry being extended: the smallest exact
+    mirror (d(p, a) = r for each anchor a and its r in typ) that accept
+    takes, else a point appended there by the amalgam if accept takes it,
+    else None with the space as it was.  accept=None takes any point."""
+    cols = [space._column(a) for a in anchors]
+    cands = space.points if not anchors else (
+        p for p, col in enumerate(zip(*cols)) if col == typ)
+    for p in cands:
+        if accept is None or accept(p):
+            return p
+    w = space._append_row(_amalgam(space._den, space.n, anchors, cols, typ))
+    if accept is None or accept(w):
+        return w
+    space.truncate(w)
+    return None

@@ -5,7 +5,8 @@ against plain dicts and loops on purpose: no solver machinery from the
 package is reused, so these can serve as a second route for checking it.
 The Fraction references at the end reuse only the id and rational parsers,
 stage_params, FinMetric's public accessors and the Feasible/Infeasible
-result records.
+result records; the back-and-forth reference reuses the package pieces
+named at the head of its section.
 """
 
 import itertools
@@ -13,9 +14,14 @@ import math
 import random
 from fractions import Fraction
 
-from urybench.errors import UsageError
-from urybench.metric import FinMetric, parse_id, stage_params
-from urybench.rat import parse_rat01
+from urybench.errors import PreconditionError, UsageError
+from urybench.homog import (BackForthState, DriftCertificate, Stuck,
+                            _atom_gap, stage_budget)
+from urybench.logic import check_seed_prefix
+from urybench.metric import (FinMetric, PartialIsometry,
+                             append_point_completion, extend_partial_isometry,
+                             parse_id, qu_extend, stage_params)
+from urybench.rat import ZERO, format_rat, parse_rat01
 
 
 def grid_values(den):
@@ -717,3 +723,152 @@ def cone_subset_reference(c1, c2, space):
             if _dbm_feasible_reference(nvars, edges + [extra]):
                 return False
     return True
+
+
+# --- reference for the back-and-forth engine ----------------------------------
+#
+# The game as it was written before the engine held its map as two index
+# dicts on one working space: a PartialIsometry rebuilt per stage (and
+# inverted on odd stages), a prefix copy per extension, a full validate
+# after each one, and the schedule grown through the pure qu_extend.  The
+# atom filter (homog._atom_gap), the stage budget and the public metric
+# extension are shared with the package.
+
+def _lowest_unused(work, used):
+    # fairness target: smallest id missing from the side, growing the
+    # schedule when the side already exhausts the prefix
+    used_set = set(used)
+    while True:
+        for p in work.space.points:
+            if p not in used_set:
+                return work, p
+        work = qu_extend(work, 4)
+
+
+def _mirror_extend(work, g, z, M, tol, stage):
+    """Extend g over z by an exact metric mirror.
+
+    Without a structure overlay this is plain isometry extension.  With one,
+    a candidate image must also agree with z on every relation atom touching
+    the new coordinate, within tol; candidates are the existing exact
+    mirrors in point order, then one freshly completed point.
+    """
+    if M is None:
+        work2, g2 = extend_partial_isometry(work, g, [z])
+        return work2, g2, g2.apply(z)
+    anchors = tuple(g.targets)
+    values = tuple(work.space.d(z, s) for s in g.sources)
+    left = list(g.sources) + [z]
+    new_at = len(left) - 1
+    for p in [p for p in work.space.points
+              if all(work.space.d(p, t) == v for t, v in zip(anchors, values))]:
+        if _atom_gap(M, work.space, left, list(g.targets) + [p], tol,
+                     new_at) is None:
+            g2 = g.extend(z, p)
+            g2.validate(work.space)
+            return work, g2, p
+    work2 = work.copy()
+    w = append_point_completion(work2.space, dict(zip(anchors, values)))
+    if _atom_gap(M, work2.space, left, list(g.targets) + [w], tol,
+                 new_at) is None:
+        g2 = g.extend(z, w)
+        g2.validate(work2.space)
+        return work2, g2, w
+    raise Stuck(stage, f"no admissible image for point {z} within "
+                       f"tolerance {format_rat(tol)}")
+
+
+def back_and_forth_reference(prefix, abar, bbar, eps, steps, M=None):
+    """Alternately extend a partial isometry matching abar to bbar; returns
+    (BackForthState, DriftCertificate) like homog.back_and_forth."""
+    abar = tuple(abar)
+    bbar = tuple(bbar)
+    if len(abar) != len(bbar):
+        raise PreconditionError("tuples must have equal length")
+    budget = stage_budget(eps, steps)
+    space = prefix.space
+    for p in abar + bbar:
+        if p not in space.points:
+            raise UsageError(f"unknown point {p}")
+    m = len(abar)
+    for i in range(m):
+        for j in range(i):
+            if space.d(abar[i], abar[j]) != space.d(bbar[i], bbar[j]):
+                raise PreconditionError(
+                    f"metric diagrams differ on coordinates {j},{i}")
+    if M is not None:
+        check_seed_prefix(M, space)
+        bad = _atom_gap(M, space, abar, bbar, eps)
+        if bad is not None:
+            name, pos, gap = bad
+            args = ",".join(str(i) for i in pos)
+            raise PreconditionError(
+                f"tuples disagree on atom {name}({args}) by "
+                f"{format_rat(gap)} > {format_rat(eps)}")
+
+    work = prefix.copy()
+    cbar = list(abar)
+    dbar = list(bbar)
+    alpha = PartialIsometry(list(dict.fromkeys(zip(cbar, dbar))))
+    alpha.validate(work.space)
+    lines = []
+    for l in range(1, steps + 1):
+        tol = budget[l - 1]
+        if l % 2 == 0:
+            work, z = _lowest_unused(work, cbar)
+            work, alpha, w = _mirror_extend(work, alpha, z, M, tol, l)
+            cbar.append(z)
+            dbar.append(w)
+            side = "c"
+        else:
+            work, z = _lowest_unused(work, dbar)
+            work, inv, w = _mirror_extend(work, alpha.inverse(), z, M, tol, l)
+            alpha = inv.inverse()
+            cbar.append(w)
+            dbar.append(z)
+            side = "d"
+        lines.append(f"stage {l} side {side} drift {format_rat(ZERO)} "
+                     f"tol {format_rat(tol)}")
+    state = BackForthState(steps, tuple(cbar), tuple(dbar), alpha, budget,
+                           work)
+    per = tuple(work.space.d(c, a) for c, a in zip(cbar, abar))
+    cert = DriftCertificate(per, sum(budget, ZERO), tuple(lines))
+    return state, cert
+
+
+def approx_homog_reference(prefix, n, eps, denom_bound):
+    """The homogeneity audit as a loop over back_and_forth_reference, one
+    prefix copy per game; returns HomogReport-style lines."""
+    bound = sum(stage_budget(eps, 4), ZERO)
+    groups = {}
+    for tup in itertools.product(prefix.space.points, repeat=n):
+        diagram = tuple(prefix.space.d(tup[i], tup[j])
+                        for i in range(n) for j in range(i))
+        if any(v.denominator > denom_bound for v in diagram):
+            continue
+        groups.setdefault(diagram, []).append(tup)
+    total = successes = 0
+    failures = []
+    worst = ZERO
+    for members in groups.values():
+        for abar in members:
+            for bbar in members:
+                total += 1
+                try:
+                    _, cert = back_and_forth_reference(prefix, abar, bbar,
+                                                       eps, 4)
+                except Stuck as s:
+                    failures.append((abar, bbar,
+                                     f"stage {s.stage}: {s.obstruction}"))
+                    continue
+                drift = max(cert.per_coord) if cert.per_coord else ZERO
+                worst = max(worst, drift)
+                if cert.verified():
+                    successes += 1
+                else:
+                    failures.append((abar, bbar, "drift above the budget"))
+    lines = [f"pairs {total} successes {successes} failures {len(failures)} "
+             f"max-drift {format_rat(worst)} bound {format_rat(bound)}"]
+    for abar, bbar, why in failures:
+        lines.append(f"fail {abar} -> {bbar}: {why}")
+    return tuple(lines)

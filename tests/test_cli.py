@@ -213,6 +213,43 @@ class TestCones:
         assert run(capsys, *base, "--left", demo["tcone.txt"],
                    "--right", demo["tcone_small.txt"])[:2] == (1, "false\n")
 
+    def test_cone_subset_empty_file_is_whole_space(self, demo, capsys):
+        empty = demo["dir"] / "empty.txt"
+        empty.write_text("# no constraints\n\n")
+        base = ["cone-subset", "--sig", demo["sig.txt"],
+                "--space", demo["space2.txt"]]
+        code, out, _ = run(capsys, *base, "--left", str(empty),
+                           "--right", demo["cone.txt"])
+        assert (code, out) == (1, "false\n")
+        code, out, _ = run(capsys, *base, "--left", demo["cone.txt"],
+                           "--right", str(empty))
+        assert (code, out) == (0, "true\n")
+        code, out, _ = run(capsys, *base, "--left", str(empty),
+                           "--right", str(empty))
+        assert (code, out) == (0, "true\n")
+
+    def test_empty_cone_round_trips_through_cone_diam(self, demo, capsys):
+        text = StructureCone(demo["sig_obj"], []).to_text()
+        assert text == ""
+        empty = demo["dir"] / "whole.txt"
+        empty.write_text(text)
+        code, out, _ = run(capsys, "cone-diam", "--sig", demo["sig.txt"],
+                           "--cone", str(empty))
+        assert (code, out) == (0, "1\n")
+        code, out, _ = run(capsys, "cone-member", "--structure", demo["m.txt"],
+                           "--cone", str(empty))
+        assert (code, out) == (0, "true\n")
+
+    def test_formal_incl_rejects_empty_cone_file(self, demo, capsys):
+        empty = demo["dir"] / "empty.txt"
+        empty.write_text("")
+        code, _, err = run(capsys, "formal-incl", "--sig", demo["sig.txt"],
+                           "--space", demo["space2.txt"],
+                           "--left", str(empty),
+                           "--right", demo["tcone.txt"])
+        assert code == 2
+        assert "tcone or gcone" in err
+
     def test_formal_incl_rejects_structure_cones(self, demo, capsys):
         code, _, err = run(capsys, "formal-incl", "--sig", demo["sig.txt"],
                            "--space", demo["space2.txt"],
@@ -255,6 +292,16 @@ class TestGroupSide:
         assert p.space.n == 4
         assert p.space.d(3, 1) == F(1, 3)
         assert p.space.d(3, 0) == F(7, 12)
+
+    @pytest.mark.parametrize("pair", ["pair 0 99", "pair 99 0"])
+    def test_extend_iso_unknown_point_is_usage_error(self, demo, capsys,
+                                                     tmp_path, pair):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(pair + "\n")
+        code, out, err = run(capsys, "extend-iso", "--prefix",
+                             demo["prefix.txt"], "--map", str(bad), "1")
+        assert (code, out) == (2, "")
+        assert "unknown point 99" in err
 
     def test_sat_true_false(self, demo, capsys):
         base = ["sat", "--structure", demo["m.txt"],

@@ -1,9 +1,15 @@
 """Back-and-forth runs, homogeneity audits, and the family checker."""
 
+import itertools
+import random
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from urybench import homog
 from urybench.errors import PreconditionError, UsageError
 from urybench.homog import (
     BackForthState, DriftCertificate, Stuck, approx_homog_test,
@@ -14,7 +20,8 @@ from urybench.logic import (
 )
 from urybench.metric import FinMetric, QUPrefix, qu_extend
 
-from gen import prefix_metric
+from gen import prefix_metric, random_structure
+from oracles import approx_homog_reference, back_and_forth_reference
 
 UNARY = Signature([RelSpec("R", 1, F(1))])
 
@@ -249,6 +256,143 @@ class TestApproxHomog:
             approx_homog_test(grown_prefix(), 0, F(1, 4), 4)
         with pytest.raises(UsageError):
             approx_homog_test(grown_prefix(), 1, F(1, 4), 0)
+
+
+# --- the game engine against the reference ------------------------------------
+
+OVERLAY = Signature([RelSpec("R", 1, F(1)), RelSpec("S", 2, F(2))])
+
+
+@lru_cache(maxsize=None)
+def _prefix_text(steps):
+    return qu_extend(QUPrefix(), steps).to_text()
+
+
+def _prefix(steps):
+    """A fresh copy of the prefix after the given schedule steps."""
+    return QUPrefix.from_text(_prefix_text(steps))
+
+
+@lru_cache(maxsize=None)
+def _diagram_groups(steps, m):
+    """The m-tuples over the prefix, grouped by equal metric diagrams."""
+    space = _prefix(steps).space
+    groups = {}
+    for tup in itertools.product(space.points, repeat=m):
+        diagram = tuple(space.d(tup[i], tup[j])
+                        for i in range(m) for j in range(i))
+        groups.setdefault(diagram, []).append(tup)
+    return list(groups.values())
+
+
+def _outcome(play, prefix, abar, bbar, eps, steps, M):
+    try:
+        state, cert = play(prefix, abar, bbar, eps, steps, M=M)
+    except Stuck as s:
+        return "stuck", s.stage, s.obstruction, str(s)
+    except (PreconditionError, UsageError) as e:
+        return type(e).__name__, str(e)
+    return ("ok", state.stage, state.cbar, state.dbar,
+            tuple(state.alpha.pairs), state.budget, cert.per_coord,
+            cert.bound, cert.lines, state.prefix.to_text())
+
+
+@st.composite
+def games(draw):
+    """A prefix of 0-40 schedule steps (small ones often, so that games
+    grow the schedule), an equal-diagram tuple pair of length 1-3, 0-6
+    stages, and no overlay, a near-constant one that rarely blocks a
+    stage, or a random Lipschitz one on an initial segment."""
+    steps = draw(st.integers(0, 6) | st.integers(0, 40))
+    m = draw(st.integers(1, 3))
+    eps = draw(st.sampled_from([F(1), F(1, 2), F(1, 4), F(3, 8)]))
+    stages = draw(st.integers(0, 6))
+    prefix = _prefix(steps)
+    if prefix.space.n == 0:
+        return prefix, (0,) * m, (0,) * m, eps, stages, None
+    group = draw(st.sampled_from(_diagram_groups(steps, m)))
+    abar = draw(st.sampled_from(group))
+    bbar = draw(st.sampled_from(group))
+    kind = draw(st.sampled_from(["none", "flat", "random"]))
+    M = None
+    if kind != "none":
+        carrier = prefix_metric(prefix.space, draw(st.integers(1, prefix.space.n)))
+        rng = random.Random(draw(st.integers(0, 2 ** 32)))
+        if kind == "random":
+            M = random_structure(rng, carrier, OVERLAY)
+        else:
+            tables = {spec.name: {
+                t: 1 - F(rng.randint(0, 4), 1024)
+                for t in itertools.product(carrier.points, repeat=spec.arity)}
+                for spec in OVERLAY.relations}
+            M = FinStructure(OVERLAY, carrier, tables)
+    return prefix, abar, bbar, eps, stages, M
+
+
+class TestEngineAgainstReference:
+    @settings(max_examples=250, deadline=None)
+    @given(games())
+    def test_back_and_forth_matches_reference(self, game):
+        prefix, abar, bbar, eps, stages, M = game
+        text = prefix.to_text()
+        got = _outcome(back_and_forth, prefix, abar, bbar, eps, stages, M)
+        assert prefix.to_text() == text
+        assert got == _outcome(back_and_forth_reference, prefix, abar, bbar,
+                               eps, stages, M)
+
+    def test_some_games_grow_the_schedule(self):
+        prefix = _prefix(1)
+        state, _ = back_and_forth(prefix, (0,), (0,), F(1, 2), 4)
+        assert (state.prefix.stage, state.prefix.pos) != (prefix.stage,
+                                                          prefix.pos)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("steps", [1, 3, 4, 5, 6, 7, 8, 17, 18])
+    def test_audit_matches_reference_loop(self, steps, n):
+        prefix = _prefix(steps)
+        assert 1 <= prefix.space.n <= 9
+        for eps, bound in ((F(1, 2), 4), (F(1, 4), 2)):
+            rep = approx_homog_test(prefix, n, eps, bound)
+            assert rep.lines == approx_homog_reference(prefix, n, eps, bound)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("steps", [1, 3, 4, 8])
+    def test_audit_games_match_fresh_reference_games(self, monkeypatch,
+                                                     steps, n):
+        """Every game the audit plays on its shared working space ends as
+        the reference game on a fresh copy of the prefix does."""
+        played = []
+        play = homog._play
+
+        def spy(work, abar, bbar, budget, M):
+            cbar, dbar, alpha = play(work, abar, bbar, budget, M)
+            played.append((abar, bbar, tuple(cbar), tuple(dbar),
+                           tuple(alpha.pairs), work.to_text()))
+            return cbar, dbar, alpha
+        monkeypatch.setattr(homog, "_play", spy)
+        prefix = _prefix(steps)
+        rep = approx_homog_test(prefix, n, F(1, 2), 4)
+        assert len(played) == rep.total > 0
+        for abar, bbar, cbar, dbar, pairs, text in played:
+            state, _ = back_and_forth_reference(prefix, abar, bbar, F(1, 2), 4)
+            assert (cbar, dbar, pairs, text) == (
+                state.cbar, state.dbar, tuple(state.alpha.pairs),
+                state.prefix.to_text())
+
+
+class TestAuditSharedSpace:
+    @pytest.mark.parametrize("steps", [1, 3, 18])
+    def test_input_untouched_and_repeatable(self, steps):
+        # on the 1- and 2-point prefixes every game grows the schedule, so
+        # the audit takes a fresh working copy after each of them
+        prefix = _prefix(steps)
+        text = prefix.to_text()
+        first = approx_homog_test(prefix, 1, F(1, 2), 4)
+        assert prefix.to_text() == text
+        second = approx_homog_test(prefix, 1, F(1, 2), 4)
+        assert prefix.to_text() == text
+        assert first == second
+        assert first.ok
 
 
 class TestSCCheck:
