@@ -7,6 +7,7 @@ output.  Exit codes: 0 success, 1 negative decision, 2 usage error,
 """
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass
@@ -342,6 +343,8 @@ def cmd_rho(args) -> int:
     space = resolve_space(args, man)
     g = PartialIsometry.from_text(_read(args.left))
     h = PartialIsometry.from_text(_read(args.right))
+    g.validate(space)
+    h.validate(space)
     lo, hi = rho_S(space, g, h, args.depth)
     emit(f"{format_rat(lo)} {format_rat(hi)}")
     return 0
@@ -624,8 +627,14 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser() once per process, on the first main call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError, UsageError
-from .logic import (FinStructure, check_seed_prefix, eval_formula,
+from .logic import (FinStructure, check_seed_prefix, compile_formula,
                     fill_value, format_formula, free_vars)
 from .metric import PartialIsometry, QUPrefix, advance, extension_image
 from .rat import ZERO, Rat01, check_rat01, format_rat
@@ -272,19 +272,22 @@ def approx_homog_test(prefix: QUPrefix, n: int, eps: Rat01,
                        tuple(lines))
 
 
-def _bind_positions(f, tup):
-    """Assignment sending variable x<k> to tup[k-1]."""
-    asg = {}
+def _positional(M: FinStructure, f, m: int):
+    """f compiled once as a function of carrier m-tuples, variable x<k>
+    reading position k."""
+    pos = {}
     for name in free_vars(f):
         if len(name) < 2 or name[0] != "x" or not name[1:].isdigit():
             raise UsageError(
                 f"variable {name!r} is not positional (want x1, x2, ...)")
         k = int(name[1:])
-        if not 1 <= k <= len(tup):
+        if not 1 <= k <= m:
             raise UsageError(
-                f"variable {name!r} exceeds the tuple length {len(tup)}")
-        asg[name] = tup[k - 1]
-    return asg
+                f"variable {name!r} exceeds the tuple length {m}")
+        pos[name] = k - 1
+    den, run = compile_formula(M, f, tuple(pos))
+    idx = tuple(pos.values())
+    return lambda tup: Fraction(run([tup[k] for k in idx])[0], den)
 
 
 @dataclass
@@ -322,6 +325,7 @@ def sc_check(M: FinStructure, n: int, eps: Rat01, family,
         raise PreconditionError("carrier must be nonempty")
     M.check()
     fam = []
+    runs = {}
     for i, entry in enumerate(family):
         ab, phi, dl = entry
         ab = tuple(ab)
@@ -334,32 +338,32 @@ def sc_check(M: FinStructure, n: int, eps: Rat01, family,
         dl = Fraction(dl)
         if dl < 0:
             raise UsageError("thresholds must be >= 0")
-        _bind_positions(phi, tuple(range(n)))
+        runs[("phi", i)] = _positional(M, phi, n)
         fam.append((ab, phi, dl))
     pools = {}
     for i in range(len(fam)):
         pool = list(deltas.get(i, ()))
-        for f in pool:
-            _bind_positions(f, tuple(range(n + 1)))
+        for j, f in enumerate(pool):
+            runs[("pool", i, j)] = _positional(M, f, n + 1)
         pools[i] = pool
 
     memo = {}
 
-    def val(key, f, tup):
+    def val(key, tup):
         if (key, tup) not in memo:
-            memo[(key, tup)] = eval_formula(M, f, _bind_positions(f, tup))
+            memo[(key, tup)] = runs[key](tup)
         return memo[(key, tup)]
 
     for i, (ab, phi, dl) in enumerate(fam):
-        if val(("phi", i), phi, ab) > dl:
+        if val(("phi", i), ab) > dl:
             return SCReport(False, "family", i, ab, (), (), (
                 f"family: witness {ab} misses condition {i}",))
 
     pts = list(M.space.points)
     sat: dict = {}
     for ab in itertools.product(pts, repeat=n):
-        hits = [i for i, (_, phi, dl) in enumerate(fam)
-                if val(("phi", i), phi, ab) <= dl]
+        hits = [i for i, (_, _, dl) in enumerate(fam)
+                if val(("phi", i), ab) <= dl]
         if not hits:
             return SCReport(False, "cover", -1, ab, (), (), (
                 f"cover: tuple {ab} satisfies no condition",))
@@ -373,10 +377,10 @@ def sc_check(M: FinStructure, n: int, eps: Rat01, family,
         for cb in itertools.product(pts, repeat=n + 1):
             if i not in sat[cb[:n]]:
                 continue
-            mask = tuple(j for j, f in enumerate(pool)
-                         if val(("pool", i, j), f, cb) == 0)
+            mask = tuple(j for j in range(len(pool))
+                         if val(("pool", i, j), cb) == 0)
             done = settled.setdefault(mask, set())
-            need = [(("pool", i, j), pool[j]) for j in mask]
+            need = [("pool", i, j) for j in mask]
             for ab in holders:
                 if ab in done:
                     continue
@@ -397,6 +401,6 @@ def _extension_witness(M, pts, ab, need, eps, n, val):
     for b in itertools.product(pts, repeat=n + 1):
         if any(M.space.d(ab[j], b[j]) > eps for j in range(n)):
             continue
-        if all(val(key, f, b) == 0 for key, f in need):
+        if all(val(key, b) == 0 for key in need):
             return True
     return False

@@ -12,11 +12,12 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Union
 
 from .errors import PreconditionError, UsageError
 from .metric import FinMetric, QUPrefix, parse_id
-from .rat import ONE, ZERO, Rat01, check_rat01, format_rat, parse_rat, tadd, tsub
+from .rat import ONE, ZERO, Rat01, check_rat01, format_rat, parse_rat
 
 KEYWORDS = ("neg", "half", "tsub", "tadd", "tmul", "min", "max", "absdiff",
             "sup", "inf", "d")
@@ -464,53 +465,292 @@ class FinStructure:
         return m
 
 
-def _resolve(t: Term, asg, n: int) -> int:
-    if isinstance(t, Var):
-        if t.name not in asg:
-            raise UsageError(f"unassigned variable {t.name!r}")
-        return asg[t.name]
-    if not 0 <= t.id < n:
-        raise PreconditionError(f"point {t.id} outside carrier")
-    return t.id
+# --- evaluation: formulas compiled to closures over integer numerators ------
+#
+# Closure generation in the sense of Feeley & Lapalme, "Using Closures for
+# Code Generation" (1987).  Every node gets one denominator at compile time
+# and returns the integer numerators (lo, hi) of its value bounds over it;
+# an exact value is a width-0 pair.  The environment is a list with one
+# slot per variable, per literal point and per quantifier.
+
+
+def _raiser(exc: Exception):
+    """A node that raises exc (type and message) when it runs: the tree
+    walk met the same error only on reaching that node, so evaluation
+    order still decides which error comes first."""
+    cls, args = type(exc), exc.args
+
+    def run(env):
+        raise cls(*args)
+    return 1, run
+
+
+def _dist(num, a: int, b: int):
+    def run(env):
+        v = num(env[a], env[b])
+        return v, v
+    return run
+
+
+def _lookup(rel: str, row: list, slots: list, n: int, total: bool):
+    """Table read at the slots' points; row holds the numerators in
+    itertools.product order, None where the table has no value."""
+    if total and len(slots) == 1:
+        (a,) = slots
+
+        def run(env):
+            v = row[env[a]]
+            return v, v
+    elif total and len(slots) == 2:
+        a, b = slots
+
+        def run(env):
+            v = row[env[a] * n + env[b]]
+            return v, v
+    else:
+        def run(env):
+            i = 0
+            for s in slots:
+                i = i * n + env[s]
+            v = row[i]
+            if v is None:
+                tup = tuple(env[s] for s in slots)
+                raise PreconditionError(f"no table value for {rel}{tup}")
+            return v, v
+    return run
+
+
+def _neg(sub, top: int):
+    def run(env):
+        lo, hi = sub(env)
+        return top - hi, top - lo
+    return run
+
+
+def _tmul(sub, p: int, top: int):
+    def run(env):
+        lo, hi = sub(env)
+        lo *= p
+        hi *= p
+        return (lo if lo < top else top), (hi if hi < top else top)
+    return run
+
+
+# Two-argument nodes: left and right scaled by a and b reach the common
+# denominator top.
+
+def _tsub(left, a, right, b, top):
+    def run(env):
+        l1, h1 = left(env)
+        l2, h2 = right(env)
+        lo = l1 * a - h2 * b
+        hi = h1 * a - l2 * b
+        return (lo if lo > 0 else 0), (hi if hi > 0 else 0)
+    return run
+
+
+def _tadd(left, a, right, b, top):
+    def run(env):
+        l1, h1 = left(env)
+        l2, h2 = right(env)
+        lo = l1 * a + l2 * b
+        hi = h1 * a + h2 * b
+        return (lo if lo < top else top), (hi if hi < top else top)
+    return run
+
+
+def _absdiff(left, a, right, b, top):
+    def run(env):
+        l1, h1 = left(env)
+        l2, h2 = right(env)
+        up = h1 * a - l2 * b      # most the left can exceed the right by
+        down = h2 * b - l1 * a    # and the right the left; up + down >= 0
+        if up < 0:
+            return -up, down
+        if down < 0:
+            return -down, up
+        return 0, (up if up > down else down)
+    return run
+
+
+def _min(left, a, right, b, top):
+    def run(env):
+        l1, h1 = left(env)
+        l2, h2 = right(env)
+        l1 *= a
+        h1 *= a
+        l2 *= b
+        h2 *= b
+        return (l1 if l1 < l2 else l2), (h1 if h1 < h2 else h2)
+    return run
+
+
+def _max(left, a, right, b, top):
+    def run(env):
+        l1, h1 = left(env)
+        l2, h2 = right(env)
+        l1 *= a
+        h1 *= a
+        l2 *= b
+        h2 *= b
+        return (l1 if l1 > l2 else l2), (h1 if h1 > h2 else h2)
+    return run
+
+
+_BINARY = {TSub: _tsub, TAdd: _tadd, AbsDiff: _absdiff, Min: _min, Max: _max}
+
+
+def _sup(body, slot: int, n: int, c: int, slack: int, top: int):
+    """max over the carrier of body with the slot at each point; the
+    numerators are scaled by c to top, and hi widens by slack."""
+    def run(env):
+        env[slot] = 0
+        best_lo, best_hi = body(env)
+        for p in range(1, n):
+            env[slot] = p
+            lo, hi = body(env)
+            if lo > best_lo:
+                best_lo = lo
+            if hi > best_hi:
+                best_hi = hi
+        hi = best_hi * c + slack
+        return best_lo * c, (hi if hi < top else top)
+    return run
+
+
+def _inf(body, slot: int, n: int, c: int, slack: int, top: int):
+    def run(env):
+        env[slot] = 0
+        best_lo, best_hi = body(env)
+        for p in range(1, n):
+            env[slot] = p
+            lo, hi = body(env)
+            if lo < best_lo:
+                best_lo = lo
+            if hi < best_hi:
+                best_hi = hi
+        lo = best_lo * c - slack
+        return (lo if lo > 0 else 0), best_hi * c
+    return run
+
+
+def compile_formula(M: FinStructure, f: Formula, names=(), r: Rat01 = ZERO):
+    """Compile f over M into (den, run).  run(points) binds names[i] to
+    points[i] and returns integer numerators (lo, hi) over den: the bounds
+    eval_interval gives at density r, and lo is f's exact value.
+
+    Denominators are fixed here: a relation table is read as numerators
+    over the lcm of its values' denominators and d as the space's own
+    numerators; half doubles the denominator, tmul p/q multiplies it by
+    q, and the other connectives rescale their arguments to the lcm.  A
+    quantifier's slack k*r is computed once.  The points must lie in the
+    carrier, and M must not change while run is in use.
+    """
+    n = M.space.n
+    template = [0] * len(names)  # the environment; literal points keep their id
+    consts = {}
+    tables = {}
+
+    def slot(value: int = 0) -> int:
+        template.append(value)
+        return len(template) - 1
+
+    def term(t: Term, scope) -> int:
+        if isinstance(t, Var):
+            if t.name not in scope:
+                raise UsageError(f"unassigned variable {t.name!r}")
+            return scope[t.name]
+        if not 0 <= t.id < n:
+            raise PreconditionError(f"point {t.id} outside carrier")
+        if t.id not in consts:
+            consts[t.id] = slot(t.id)
+        return consts[t.id]
+
+    def table(rel: str, arity: int):
+        key = (rel, arity)
+        if key not in tables:
+            given = M.tables.get(rel, {})
+            den = lcm(*{v.denominator for v in given.values()})
+            row = [None if v is None else v.numerator * (den // v.denominator)
+                   for v in map(given.get,
+                                itertools.product(range(n), repeat=arity))]
+            tables[key] = den, row, None not in row
+        return tables[key]
+
+    def comp(f: Formula, scope):
+        kind = type(f)
+        if kind is Atom or kind is D:
+            args = f.args if kind is Atom else (f.left, f.right)
+            try:
+                slots = [term(t, scope) for t in args]
+            except (UsageError, PreconditionError) as exc:
+                return _raiser(exc)
+            if kind is D:
+                return M.space._den, _dist(M.space._num, *slots)
+            den, row, total = table(f.rel, len(slots))
+            return den, _lookup(f.rel, row, slots, n, total)
+        if kind in _BINARY:
+            subs = f.subs if kind is Min or kind is Max else (f.left, f.right)
+            # min and max of several arguments fold to the right, which
+            # keeps the left-to-right evaluation order
+            d2, right = comp(subs[-1], scope)
+            for sub in reversed(subs[:-1]):
+                d1, left = comp(sub, scope)
+                top = lcm(d1, d2)
+                d2, right = top, _BINARY[kind](left, top // d1, right,
+                                               top // d2, top)
+            return d2, right
+        if kind is Const:
+            pair = (f.value.numerator,) * 2
+            return f.value.denominator, lambda env: pair
+        if kind is Neg:
+            den, sub = comp(f.sub, scope)
+            return den, _neg(sub, den)
+        if kind is Half:
+            den, sub = comp(f.sub, scope)
+            return 2 * den, sub
+        if kind is TMul:
+            den, sub = comp(f.sub, scope)
+            top = den * f.scale.denominator
+            return top, _tmul(sub, f.scale.numerator, top)
+        if kind is Sup or kind is Inf:
+            if n == 0:
+                return _raiser(PreconditionError(
+                    "quantifier over empty carrier"))
+            try:
+                slack = modulus(f.body, M.sig) * r if r else ZERO
+            except UsageError as exc:
+                return _raiser(exc)
+            s = slot()
+            den, body = comp(f.body, {**scope, f.var: s})
+            top = lcm(den, slack.denominator)
+            return top, (_sup if kind is Sup else _inf)(
+                body, s, n, top // den,
+                slack.numerator * (top // slack.denominator), top)
+        raise TypeError(f"not a formula: {f!r}")
+
+    den, root = comp(f, {name: i for i, name in enumerate(names)})
+    tail = template[len(names):]
+
+    def run(points):
+        return root([*points, *tail])
+    return den, run
+
+
+def _assignment(M: FinStructure, asg) -> dict:
+    asg = dict(asg) if asg else {}
+    pts = M.space.points
+    for name, p in asg.items():
+        if p not in pts:
+            raise UsageError(f"{name} is bound to {p}, outside the carrier")
+    return asg
 
 
 def eval_formula(M: FinStructure, f: Formula, asg=None) -> Rat01:
     """Exact evaluation; sup and inf range over the finite carrier."""
-    asg = dict(asg) if asg else {}
-    n = M.space.n
-
-    def ev(f, asg):
-        if isinstance(f, Const):
-            return f.value
-        if isinstance(f, Atom):
-            return M.value(f.rel, tuple(_resolve(t, asg, n) for t in f.args))
-        if isinstance(f, D):
-            return M.space.d(_resolve(f.left, asg, n),
-                             _resolve(f.right, asg, n))
-        if isinstance(f, Neg):
-            return ONE - ev(f.sub, asg)
-        if isinstance(f, Half):
-            return ev(f.sub, asg) / 2
-        if isinstance(f, TMul):
-            return min(ONE, f.scale * ev(f.sub, asg))
-        if isinstance(f, TSub):
-            return tsub(ev(f.left, asg), ev(f.right, asg))
-        if isinstance(f, TAdd):
-            return tadd(ev(f.left, asg), ev(f.right, asg))
-        if isinstance(f, AbsDiff):
-            return abs(ev(f.left, asg) - ev(f.right, asg))
-        if isinstance(f, Min):
-            return min(ev(s, asg) for s in f.subs)
-        if isinstance(f, Max):
-            return max(ev(s, asg) for s in f.subs)
-        if isinstance(f, (Sup, Inf)):
-            if n == 0:
-                raise PreconditionError("quantifier over empty carrier")
-            vals = (ev(f.body, {**asg, f.var: p}) for p in M.space.points)
-            return max(vals) if isinstance(f, Sup) else min(vals)
-        raise TypeError(f"not a formula: {f!r}")
-
-    return ev(f, asg)
+    asg = _assignment(M, asg)
+    den, run = compile_formula(M, f, tuple(asg))
+    return Fraction(run(tuple(asg.values()))[0], den)
 
 
 def eval_interval(M: FinStructure, f: Formula, asg=None,
@@ -519,64 +759,15 @@ def eval_interval(M: FinStructure, f: Formula, asg=None,
 
     The carrier is treated as an r-dense prefix: every point of the
     larger space is within r of some carrier point, and tables extend
-    1-Lipschitz-compatibly (as lipschitz_extend produces).  Returned
+    compatibly with their moduli (as fill_value produces).  Returned
     (lo, hi) brackets the true value there; quantifier-free formulas
     get a width-0 interval.
     """
-    asg = dict(asg) if asg else {}
     check_rat01(r)
-    n = M.space.n
-
-    def iv(f, asg):
-        if isinstance(f, Const):
-            return f.value, f.value
-        if isinstance(f, (Atom, D)):
-            v = eval_formula(M, f, asg)
-            return v, v
-        if isinstance(f, Neg):
-            lo, hi = iv(f.sub, asg)
-            return ONE - hi, ONE - lo
-        if isinstance(f, Half):
-            lo, hi = iv(f.sub, asg)
-            return lo / 2, hi / 2
-        if isinstance(f, TMul):
-            lo, hi = iv(f.sub, asg)
-            return min(ONE, f.scale * lo), min(ONE, f.scale * hi)
-        if isinstance(f, TSub):
-            l1, h1 = iv(f.left, asg)
-            l2, h2 = iv(f.right, asg)
-            return tsub(l1, h2), tsub(h1, l2)
-        if isinstance(f, TAdd):
-            l1, h1 = iv(f.left, asg)
-            l2, h2 = iv(f.right, asg)
-            return tadd(l1, l2), tadd(h1, h2)
-        if isinstance(f, AbsDiff):
-            l1, h1 = iv(f.left, asg)
-            l2, h2 = iv(f.right, asg)
-            lo = max(ZERO, l1 - h2, l2 - h1)
-            hi = max(h1 - l2, h2 - l1, ZERO)
-            return lo, hi
-        if isinstance(f, Min):
-            parts = [iv(s, asg) for s in f.subs]
-            return min(p[0] for p in parts), min(p[1] for p in parts)
-        if isinstance(f, Max):
-            parts = [iv(s, asg) for s in f.subs]
-            return max(p[0] for p in parts), max(p[1] for p in parts)
-        if isinstance(f, (Sup, Inf)):
-            if n == 0:
-                raise PreconditionError("quantifier over empty carrier")
-            k = modulus(f.body, M.sig)
-            parts = [iv(f.body, {**asg, f.var: p}) for p in M.space.points]
-            if isinstance(f, Sup):
-                lo = max(p[0] for p in parts)
-                hi = min(ONE, max(p[1] for p in parts) + k * r)
-            else:
-                hi = min(p[1] for p in parts)
-                lo = max(ZERO, min(p[0] for p in parts) - k * r)
-            return lo, hi
-        raise TypeError(f"not a formula: {f!r}")
-
-    return iv(f, asg)
+    asg = _assignment(M, asg)
+    den, run = compile_formula(M, f, tuple(asg), r)
+    lo, hi = run(tuple(asg.values()))
+    return Fraction(lo, den), Fraction(hi, den)
 
 
 def fill_value(coeff: Fraction, seed, space: FinMetric, tup) -> Rat01:

@@ -5,8 +5,9 @@ against plain dicts and loops on purpose: no solver machinery from the
 package is reused, so these can serve as a second route for checking it.
 The Fraction references at the end reuse only the id and rational parsers,
 stage_params, FinMetric's public accessors and the Feasible/Infeasible
-result records; the back-and-forth reference reuses the package pieces
-named at the head of its section.
+result records; the formula references reuse the formula nodes, modulus,
+FinStructure.value and the rat connectives; the back-and-forth reference
+reuses the package pieces named at the head of its section.
 """
 
 import itertools
@@ -17,11 +18,14 @@ from fractions import Fraction
 from urybench.errors import PreconditionError, UsageError
 from urybench.homog import (BackForthState, DriftCertificate, Stuck,
                             _atom_gap, stage_budget)
-from urybench.logic import check_seed_prefix
+from urybench.logic import (AbsDiff, Atom, Const, D, Half, Inf, Max, Min,
+                            Neg, Sup, TAdd, TMul, TSub, Var,
+                            check_seed_prefix, modulus)
 from urybench.metric import (FinMetric, PartialIsometry,
                              append_point_completion, extend_partial_isometry,
                              parse_id, qu_extend, stage_params)
-from urybench.rat import ZERO, format_rat, parse_rat01
+from urybench.rat import (ONE, ZERO, check_rat01, format_rat, parse_rat01,
+                          tadd, tsub)
 
 
 def grid_values(den):
@@ -354,6 +358,120 @@ def mcshane_fill_reference(sig, seeds, space):
             out[tup] = best
         tables[spec.name] = out
     return tables
+
+
+# --- Fraction reference for the compiled formula evaluator --------------------
+#
+# The tree walkers eval_formula and eval_interval were before formulas were
+# compiled to closures over integer numerators: one isinstance dispatch per
+# node, one Fraction per value, a fresh assignment dict per quantifier point.
+
+
+def _resolve(t, asg, n):
+    if isinstance(t, Var):
+        if t.name not in asg:
+            raise UsageError(f"unassigned variable {t.name!r}")
+        return asg[t.name]
+    if not 0 <= t.id < n:
+        raise PreconditionError(f"point {t.id} outside carrier")
+    return t.id
+
+
+def eval_formula_reference(M, f, asg=None):
+    """Exact evaluation; sup and inf range over the finite carrier."""
+    asg = dict(asg) if asg else {}
+    n = M.space.n
+
+    def ev(f, asg):
+        if isinstance(f, Const):
+            return f.value
+        if isinstance(f, Atom):
+            return M.value(f.rel, tuple(_resolve(t, asg, n) for t in f.args))
+        if isinstance(f, D):
+            return M.space.d(_resolve(f.left, asg, n),
+                             _resolve(f.right, asg, n))
+        if isinstance(f, Neg):
+            return ONE - ev(f.sub, asg)
+        if isinstance(f, Half):
+            return ev(f.sub, asg) / 2
+        if isinstance(f, TMul):
+            return min(ONE, f.scale * ev(f.sub, asg))
+        if isinstance(f, TSub):
+            return tsub(ev(f.left, asg), ev(f.right, asg))
+        if isinstance(f, TAdd):
+            return tadd(ev(f.left, asg), ev(f.right, asg))
+        if isinstance(f, AbsDiff):
+            return abs(ev(f.left, asg) - ev(f.right, asg))
+        if isinstance(f, Min):
+            return min(ev(s, asg) for s in f.subs)
+        if isinstance(f, Max):
+            return max(ev(s, asg) for s in f.subs)
+        if isinstance(f, (Sup, Inf)):
+            if n == 0:
+                raise PreconditionError("quantifier over empty carrier")
+            vals = (ev(f.body, {**asg, f.var: p}) for p in M.space.points)
+            return max(vals) if isinstance(f, Sup) else min(vals)
+        raise TypeError(f"not a formula: {f!r}")
+
+    return ev(f, asg)
+
+
+def eval_interval_reference(M, f, asg=None, r=ZERO):
+    """Certified bounds on the value of f over any r-dense superspace."""
+    asg = dict(asg) if asg else {}
+    check_rat01(r)
+    n = M.space.n
+
+    def iv(f, asg):
+        if isinstance(f, Const):
+            return f.value, f.value
+        if isinstance(f, (Atom, D)):
+            v = eval_formula_reference(M, f, asg)
+            return v, v
+        if isinstance(f, Neg):
+            lo, hi = iv(f.sub, asg)
+            return ONE - hi, ONE - lo
+        if isinstance(f, Half):
+            lo, hi = iv(f.sub, asg)
+            return lo / 2, hi / 2
+        if isinstance(f, TMul):
+            lo, hi = iv(f.sub, asg)
+            return min(ONE, f.scale * lo), min(ONE, f.scale * hi)
+        if isinstance(f, TSub):
+            l1, h1 = iv(f.left, asg)
+            l2, h2 = iv(f.right, asg)
+            return tsub(l1, h2), tsub(h1, l2)
+        if isinstance(f, TAdd):
+            l1, h1 = iv(f.left, asg)
+            l2, h2 = iv(f.right, asg)
+            return tadd(l1, l2), tadd(h1, h2)
+        if isinstance(f, AbsDiff):
+            l1, h1 = iv(f.left, asg)
+            l2, h2 = iv(f.right, asg)
+            lo = max(ZERO, l1 - h2, l2 - h1)
+            hi = max(h1 - l2, h2 - l1, ZERO)
+            return lo, hi
+        if isinstance(f, Min):
+            parts = [iv(s, asg) for s in f.subs]
+            return min(p[0] for p in parts), min(p[1] for p in parts)
+        if isinstance(f, Max):
+            parts = [iv(s, asg) for s in f.subs]
+            return max(p[0] for p in parts), max(p[1] for p in parts)
+        if isinstance(f, (Sup, Inf)):
+            if n == 0:
+                raise PreconditionError("quantifier over empty carrier")
+            k = modulus(f.body, M.sig)
+            parts = [iv(f.body, {**asg, f.var: p}) for p in M.space.points]
+            if isinstance(f, Sup):
+                lo = max(p[0] for p in parts)
+                hi = min(ONE, max(p[1] for p in parts) + k * r)
+            else:
+                hi = min(p[1] for p in parts)
+                lo = max(ZERO, min(p[0] for p in parts) - k * r)
+            return lo, hi
+        raise TypeError(f"not a formula: {f!r}")
+
+    return iv(f, asg)
 
 
 # --- Fraction reference for the integer-lattice metric code -------------------

@@ -142,6 +142,15 @@ class TestFormulas:
         lo, hi = out.split()
         assert F(lo) <= F(1, 4) <= F(hi)
 
+    @pytest.mark.parametrize("command", ["eval", "eval-interval"])
+    @pytest.mark.parametrize("formula", ["R(x)", "d(x,y)"])
+    def test_binding_outside_the_carrier_exits_2(self, demo, capsys, command,
+                                                 formula):
+        code, out, err = run(capsys, command, "--structure", demo["m.txt"],
+                             "--bind", "x=5", "--bind", "y=0", formula)
+        assert (code, out) == (2, "")
+        assert "outside the carrier" in err
+
     def test_delta_seq_width(self, demo, capsys):
         code, out, _ = run(capsys, "delta-seq", "--left", demo["m.txt"],
                            "--right", demo["n.txt"], "-m", "20")
@@ -292,6 +301,19 @@ class TestGroupSide:
         assert p.space.n == 4
         assert p.space.d(3, 1) == F(1, 3)
         assert p.space.d(3, 0) == F(7, 12)
+
+    @pytest.mark.parametrize("side", ["--left", "--right"])
+    def test_rho_unknown_point_is_usage_error(self, demo, capsys, tmp_path,
+                                              side):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("pair 0 99\n")
+        maps = {"--left": demo["id.txt"], "--right": demo["swap.txt"]}
+        maps[side] = str(bad)
+        code, out, err = run(capsys, "rho", "--space", demo["prefix.txt"],
+                             "--left", maps["--left"],
+                             "--right", maps["--right"], "-N", "2")
+        assert (code, out) == (2, "")
+        assert "unknown point 99" in err
 
     @pytest.mark.parametrize("pair", ["pair 0 99", "pair 99 0"])
     def test_extend_iso_unknown_point_is_usage_error(self, demo, capsys,
@@ -489,6 +511,40 @@ class TestParserEdges:
 
     def test_missing_required_flag_exits_2(self, demo, capsys):
         assert run(capsys, "qu-build")[0] == 2
+
+    def test_parser_built_once_and_reused(self, demo, capsys, monkeypatch):
+        """A run of main calls in one process, an argparse error among
+        them, prints what a freshly built parser prints for each call, and
+        no --bind list carries over to the next call."""
+        m = demo["m.txt"]
+        calls = [("eval", "--structure", m, "--bind", "x=1", "R(x)"),
+                 ("eval", "--structure", m, "--bogus", "R(x)"),
+                 ("eval", "--structure", m, "R(x)"),
+                 ("eval-interval", "--structure", m, "--bind", "x=0",
+                  "--density", "1/8", "tadd(R(x), sup(y, R(y)))"),
+                 ("eval", "--structure", m, "--bind", "y=1", "R(x)"),
+                 ("modulus", "--sig", demo["sig.txt"], "d(x,y)")]
+        fresh = []
+        for argv in calls:
+            cli._parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        assert [c[0] for c in fresh] == [0, 2, 2, 0, 2, 0]
+        builds = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda: builds.append(1) or real())
+        cli._parser.cache_clear()
+        assert [run(capsys, *argv) for argv in calls] == fresh
+        assert len(builds) == 1
+
+    def test_import_builds_no_parser(self):
+        res = subprocess.run(
+            [sys.executable, "-c", "import urybench.cli as c; "
+             "print(c._parser.cache_info().currsize)"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(
+                Path(urybench.__file__).resolve().parent.parent)})
+        assert (res.returncode, res.stdout) == (0, "0\n")
 
     def test_console_script(self, demo):
         res = subprocess.run(

@@ -9,13 +9,16 @@ from hypothesis import strategies as st
 
 from gen import default_sig, prefix_metric, random_formula, random_metric, \
     random_structure
-from oracles import mcshane_fill_reference
+from oracles import (eval_formula_reference, eval_interval_reference,
+                     mcshane_fill_reference)
 from urybench.errors import PreconditionError, UsageError
 from urybench.logic import (
+    AbsDiff,
     Atom,
     Const,
     D,
     FinStructure,
+    Half,
     Inf,
     Max,
     Min,
@@ -28,6 +31,7 @@ from urybench.logic import (
     TMul,
     TSub,
     Var,
+    compile_formula,
     eval_formula,
     eval_interval,
     fill_value,
@@ -251,6 +255,166 @@ class TestEvalInterval:
             f = random_formula(rng, SIG, [], depth=3, n_points=k)
             lo, hi = eval_interval(seed, f, r=min(r, F(1)))
             assert lo <= eval_formula(grown, f) <= hi
+
+
+# --- the compiled evaluator against the Fraction tree walkers -------------
+
+NAMES = ("x", "y", "z")
+SIG3 = Signature([RelSpec("R", 1, F(1)), RelSpec("S", 2, F(2)),
+                  RelSpec("T", 3, F(1, 2))])
+SCALES = (F(1, 3), F(1, 2), F(2, 3), F(1), F(3, 2), F(2), F(3))
+
+
+@st.composite
+def formulas(draw, n, faulty, depth=4, quantifiers=3):
+    """Every node kind over SIG3.  Variables come from NAMES, so
+    quantifiers shadow each other and the free variables.  When faulty,
+    literal points reach one past the carrier."""
+    top = n if faulty else n - 1
+
+    def term():
+        if top >= 0 and draw(st.integers(0, 3)) == 0:
+            return Pt(draw(st.integers(0, top)))
+        return Var(draw(st.sampled_from(NAMES)))
+
+    def go(depth, quantifiers):
+        kind = draw(st.integers(0, 14 if depth else 2))
+        if kind == 0:
+            return Const(draw(st.fractions(0, 1, max_denominator=12)))
+        if kind == 1:
+            return D(term(), term())
+        if kind == 2:
+            spec = draw(st.sampled_from(SIG3.relations))
+            return Atom(spec.name, tuple(term() for _ in range(spec.arity)))
+        if kind == 3:
+            return Neg(go(depth - 1, quantifiers))
+        if kind == 4:
+            return Half(go(depth - 1, quantifiers))
+        if kind == 5:
+            return TMul(draw(st.sampled_from(SCALES)),
+                        go(depth - 1, quantifiers))
+        if kind in (6, 7, 8):
+            node = (TSub, TAdd, AbsDiff)[kind - 6]
+            return node(go(depth - 1, quantifiers), go(depth - 1, quantifiers))
+        if kind in (9, 10):
+            subs = tuple(go(depth - 1, quantifiers)
+                         for _ in range(draw(st.integers(2, 3))))
+            return Min(subs) if kind == 9 else Max(subs)
+        if quantifiers == 0:
+            return go(depth - 1, 0)
+        node = Sup if kind % 2 else Inf
+        return node(draw(st.sampled_from(NAMES)), go(depth - 1, quantifiers - 1))
+
+    return go(depth, quantifiers)
+
+
+def _structure(rng, n, partial=False):
+    if n == 0:
+        return FinStructure(SIG3, FinMetric(), {s.name: {} for s in SIG3.relations})
+    M = random_structure(rng, random_metric(rng, n), SIG3)
+    if partial:
+        for table in M.tables.values():
+            for tup in list(table):
+                if rng.random() < 0.1:
+                    del table[tup]
+    return M
+
+
+def _subformulas(f):
+    yield f
+    if isinstance(f, (Neg, Half, TMul)):
+        subs = (f.sub,)
+    elif isinstance(f, (TSub, TAdd, AbsDiff)):
+        subs = (f.left, f.right)
+    elif isinstance(f, (Sup, Inf)):
+        subs = (f.body,)
+    else:
+        subs = f.subs if isinstance(f, (Min, Max)) else ()
+    for g in subs:
+        yield from _subformulas(g)
+
+
+def _outcome(fn, *args):
+    try:
+        out = fn(*args)
+    except (UsageError, PreconditionError) as exc:
+        return type(exc), str(exc)
+    for v in out if isinstance(out, tuple) else (out,):
+        assert type(v) is F
+    return out
+
+
+class TestCompiledMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.integers(1, 5), st.randoms(use_true_random=False),
+           st.fractions(F(1, 8), 1, max_denominator=8))
+    def test_values_are_exact(self, data, n, rng, r):
+        """Every subformula too, since every name is bound."""
+        M = _structure(rng, n)
+        f = data.draw(formulas(n, faulty=False))
+        asg = {v: data.draw(st.integers(0, n - 1)) for v in NAMES}
+        for g in _subformulas(f):
+            want = eval_formula_reference(M, g, asg)
+            assert _outcome(eval_formula, M, g, asg) == want
+            assert (_outcome(eval_interval, M, g, asg, r)
+                    == eval_interval_reference(M, g, asg, r))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.integers(0, 5), st.randoms(use_true_random=False),
+           st.fractions(0, 1, max_denominator=8), st.booleans())
+    def test_errors_are_the_walks(self, data, n, rng, r, partial):
+        """Unassigned variables, literal points outside the carrier,
+        quantifiers over an empty carrier and missing table values raise
+        the tree walk's first error, type and message."""
+        M = _structure(rng, n, partial)
+        f = data.draw(formulas(n, faulty=True))
+        asg = data.draw(st.dictionaries(st.sampled_from(NAMES),
+                                        st.integers(0, n - 1))) if n else {}
+        assert (_outcome(eval_formula, M, f, asg)
+                == _outcome(eval_formula_reference, M, f, asg))
+        assert (_outcome(eval_interval, M, f, asg, r)
+                == _outcome(eval_interval_reference, M, f, asg, r))
+
+    def test_shadowing_quantifier(self):
+        M = small_structure()
+        f = parse("sup(x, tadd(R(x), inf(x, absdiff(R(x), half(d(x, 2))))))",
+                  SIG)
+        # the inner inf is |1/3 - 3/8| at point 0, whatever the outer x
+        assert eval_formula(M, f) == eval_formula_reference(M, f) == F(17, 24)
+        f = parse("tadd(R(x), sup(x, inf(x, S(x, y))))", SIG)
+        asg = {"x": 1, "y": 2}
+        assert eval_formula(M, f, asg) == eval_formula_reference(M, f, asg)
+
+    def test_missing_table_value(self):
+        M = small_structure()
+        del M.tables["S"][(2, 0)]
+        f = parse("inf(x, S(x, 0))", SIG)
+        for fn in (eval_formula, eval_interval):
+            with pytest.raises(PreconditionError,
+                               match=r"no table value for S\(2, 0\)"):
+                fn(M, f)
+
+    def test_quantifier_over_empty_carrier(self):
+        M = _structure(None, 0)
+        for fn in (eval_formula, eval_interval):
+            with pytest.raises(PreconditionError, match="empty carrier"):
+                fn(M, parse("sup(x, 1/2)", SIG))
+
+    @pytest.mark.parametrize("text", ["R(x)", "d(x, y)"])
+    def test_binding_outside_the_carrier(self, text):
+        M = small_structure()
+        for fn in (eval_formula, eval_interval):
+            with pytest.raises(UsageError, match="outside the carrier"):
+                fn(M, parse(text, SIG), {"x": 5, "y": 0})
+
+    def test_one_compile_serves_every_assignment(self):
+        M = small_structure()
+        f = parse("tadd(S(x, y), inf(z, absdiff(R(z), d(z, x))))", SIG)
+        den, run = compile_formula(M, f, ("x", "y"))
+        for a in M.space.points:
+            for b in M.space.points:
+                assert (F(run((a, b))[0], den)
+                        == eval_formula(M, f, {"x": a, "y": b}))
 
 
 class TestLipschitzExtend:
