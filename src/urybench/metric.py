@@ -42,6 +42,14 @@ class FinMetric:
     Symmetry and d(a,a)=0 are structural.  Triangle validity is guaranteed
     for spaces built through append_point with admissible distance vectors;
     check() re-verifies.
+
+    No row list is ever changed in place: _rescale builds new rows, and
+    truncate and _append_row touch only the outer list.  copy() therefore
+    shares the rows and costs O(n), not O(n^2).
+
+    to_text writes the point lines, then the dist lines with a < b row by
+    row, each row built as one string; from_text takes the lines in any
+    order and reads that layout fastest.
     """
 
     __slots__ = ("_rows", "_den", "_vals")
@@ -122,7 +130,7 @@ class FinMetric:
 
     def copy(self) -> "FinMetric":
         m = FinMetric()
-        m._rows = [row.copy() for row in self._rows]
+        m._rows = self._rows.copy()
         m._den, m._vals = self._den, dict(self._vals)
         return m
 
@@ -154,26 +162,50 @@ class FinMetric:
             return ZERO
         return max(self.d(a, b) for a, b in zip(s, t))
 
-    def to_text(self) -> str:
+    def _text_parts(self) -> list[str]:
+        """Text of the space as pieces to join: the point lines, then one
+        string per row b holding `dist a b v` for a < b."""
         text = {v: format_rat(self._vals[v]) for v in
                 set(itertools.chain.from_iterable(self._rows))}
-        lines = [f"point {i}" for i in self.points]
+        heads = [f"dist {a} " for a in self.points]
+        parts = ["".join([f"point {i}\n" for i in self.points])]
         for b, row in enumerate(self._rows):
-            lines += [f"dist {a} {b} {text[v]}" for a, v in enumerate(row)]
-        return "\n".join(lines) + "\n"
+            parts.append("".join(itertools.chain.from_iterable(zip(
+                heads, itertools.repeat(f"{b} "), map(text.__getitem__, row),
+                itertools.repeat("\n")))))
+        return parts
+
+    def to_text(self) -> str:
+        return "".join(self._text_parts()) or "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "FinMetric":
         return _read_points(text, allow_extra=False)[0]
 
 
+# _lines splits this many characters at a time, plus the rest of a line
+_CHUNK = 1 << 20
+
+
 def _lines(text: str):
     """(line number, tokens) of every non-blank line; '#' starts a comment
-    that runs to the end of its line."""
-    for ln, raw in enumerate(text.splitlines(), 1):
-        parts = raw.partition("#")[0].split()
-        if parts:
-            yield ln, parts
+    that runs to the end of its line.
+
+    Line numbers are those of text.splitlines().  The text is split about
+    _CHUNK characters at a time, each piece cut just after a "\n", so no
+    list of every line is held; a text without '#' skips the comment
+    strip.
+    """
+    strip = "#" in text
+    ln, start, end = 1, 0, len(text)
+    while start < end:
+        cut = text.find("\n", start + _CHUNK) + 1 or end
+        lines = text[start:cut].splitlines()
+        if strip:
+            lines = [raw.partition("#")[0] for raw in lines]
+        yield from filter(itemgetter(1), enumerate(map(str.split, lines), ln))
+        ln += len(lines)
+        start = cut
 
 
 def _dist_line(ln: int, parts: list[str], ids: dict, vals: dict, value):
@@ -200,10 +232,15 @@ def _read_points(text: str, allow_extra: bool):
     """One pass over point/dist lines, straight into lower-triangle rows.
 
     Returns (FinMetric, extra) where extra lists the (line number, tokens)
-    of other lines; those raise unless allow_extra.  While reading, a row
-    maps each given entry to the index of its distance in `seen`; once all
-    its entries are given it becomes a list.  Memory therefore grows with
-    the lines read, never with the size of an id in them.
+    of other lines; those raise unless allow_extra.  Each row holds the
+    index of its distances in `seen`.  A `dist 0 b` line for a new row b
+    opens a list, and each following line with the same b token and the
+    next a is appended to it with only a parsed: the writer's layout.  Any
+    other line leaves that order and turns the open row into a dict; a
+    row read out of order maps each given entry to its index until all its
+    entries are given, and then becomes a list.  Memory therefore grows
+    with the lines read, never with the size of an id in them.  The body
+    of _dist_line is inlined: prefix files hold millions of lines.
     """
     ids: list[int] = []
     id_of: dict[str, int] = {}
@@ -213,30 +250,65 @@ def _read_points(text: str, allow_extra: bool):
     part: dict[int, dict[int, int]] = {}
     grew: list[int] = []  # row ids in the order of their first dist line
     extra: list[tuple[int, list[str]]] = []
+    # the row read in writer order: its entries so far, its id and its b
+    # token; open_tb is None while no row is open
+    row: list[int] = []
+    open_hi, open_tb = -1, None
 
     def value(tok: str) -> int:
         v = parse_rat01(tok)
         if not v:
             raise UsageError(f"distance {v} outside (0, 1]")
-        return seen.setdefault(v, len(seen))
+        k = val_of[tok] = seen.setdefault(v, len(seen))
+        return k
 
     for ln, parts in _lines(text):
         tag = parts[0]
         if tag == "dist":
-            lo, hi, k = _dist_line(ln, parts, id_of, val_of, value)
-            given = part.get(hi)
-            if given is None and hi in full:
-                old = full[hi][lo]
-            else:
-                if given is None:
-                    given = part[hi] = {}
-                    grew.append(hi)
-                old = given.setdefault(lo, k)
-                if len(given) == hi:
-                    full[hi] = list(map(given.__getitem__, range(hi)))
-                    del part[hi]
-            if old != k:
-                raise UsageError(f"line {ln}: conflicting dist for {(lo, hi)}")
+            if len(parts) != 4:
+                raise UsageError(f"line {ln}: dist takes two ids and a value")
+            _, ta, tb, tv = parts
+            a = id_of.get(ta)
+            if a is None:
+                a = id_of[ta] = _parse_id(ta, ln)
+            # the next entry of the open row: b is known and a < b is new
+            nxt = tb == open_tb and a == len(row)
+            if not nxt:
+                b = id_of.get(tb)
+                if b is None:
+                    b = id_of[tb] = _parse_id(tb, ln)
+                if a == b:
+                    raise UsageError(f"line {ln}: dist needs distinct points")
+            k = val_of.get(tv)
+            if k is None:
+                k = value(tv)
+            if not nxt:
+                if open_tb is not None:
+                    part[open_hi] = dict(enumerate(row))
+                    open_tb = None
+                if a == 0 and b not in full and b not in part:
+                    grew.append(b)
+                    row, open_hi, open_tb = [], b, tb
+                else:
+                    lo, hi = (a, b) if a < b else (b, a)
+                    given = part.get(hi)
+                    if given is None and hi in full:
+                        old = full[hi][lo]
+                    else:
+                        if given is None:
+                            given = part[hi] = {}
+                            grew.append(hi)
+                        old = given.setdefault(lo, k)
+                        if len(given) == hi:
+                            full[hi] = list(map(given.__getitem__, range(hi)))
+                            del part[hi]
+                    if old != k:
+                        raise UsageError(f"line {ln}: conflicting dist for {(lo, hi)}")
+                    continue
+            row.append(k)
+            if len(row) == open_hi:
+                full[open_hi] = row
+                open_tb = None
         elif tag == "point":
             if len(parts) != 2:
                 raise UsageError(f"line {ln}: point takes one id")
@@ -248,6 +320,8 @@ def _read_points(text: str, allow_extra: bool):
             extra.append((ln, parts))
         else:
             raise UsageError(f"line {ln}: unknown directive {tag!r}")
+    if open_tb is not None:
+        part[open_hi] = dict(enumerate(row))
     n = len(ids)
     if sorted(ids) != list(range(n)):
         raise UsageError("point ids must be exactly 0..n-1")
@@ -697,11 +771,10 @@ class QUPrefix:
         return QUPrefix(self.space.copy(), self.stage, self.pos, list(self.snapshots))
 
     def to_text(self) -> str:
-        lines = [self.space.to_text().rstrip("\n")] if self.space.n else []
-        for t, size in enumerate(self.snapshots):
-            lines.append(f"snapshot {t} {size}")
-        lines.append(f"cursor {self.stage} {self.pos}")
-        return "\n".join(line for line in lines if line) + "\n"
+        parts = self.space._text_parts()
+        parts += [f"snapshot {t} {size}\n" for t, size in enumerate(self.snapshots)]
+        parts.append(f"cursor {self.stage} {self.pos}\n")
+        return "".join(parts)
 
     @classmethod
     def from_text(cls, text: str) -> "QUPrefix":

@@ -1,8 +1,9 @@
-"""Exact rationals in [0, 1] and the truncated connective algebra.
+"""Exact rationals in [0, 1].
 
 Values are plain fractions.Fraction instances kept in [0, 1]; Fraction
 already gives canonical reduced form and exact comparisons, so this module
-only adds range discipline, the connectives, and the p/q text format.
+only adds range discipline and the p/q text format.  The connectives are
+evaluated on integer numerators by logic.compile_formula.
 """
 
 from __future__ import annotations
@@ -49,36 +50,3 @@ def format_rat(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
-
-
-# Connectives.  Each maps [0,1]-values back into [0,1]; tmul takes an
-# arbitrary positive rational multiplier.
-
-def neg(x: Fraction) -> Fraction:
-    return ONE - x
-
-
-def half(x: Fraction) -> Fraction:
-    return x / 2
-
-
-def tsub(x: Fraction, y: Fraction) -> Fraction:
-    """Truncated difference max(x - y, 0)."""
-    z = x - y
-    return z if z > 0 else ZERO
-
-
-def tadd(x: Fraction, y: Fraction) -> Fraction:
-    """Truncated sum min(x + y, 1)."""
-    z = x + y
-    return z if z < 1 else ONE
-
-
-def tmul(q: Fraction, x: Fraction) -> Fraction:
-    """Truncated scalar product min(q * x, 1)."""
-    z = q * x
-    return z if z < 1 else ONE
-
-
-def absdiff(x: Fraction, y: Fraction) -> Fraction:
-    return abs(x - y)

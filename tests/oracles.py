@@ -5,9 +5,10 @@ against plain dicts and loops on purpose: no solver machinery from the
 package is reused, so these can serve as a second route for checking it.
 The Fraction references at the end reuse only the id and rational parsers,
 stage_params, FinMetric's public accessors and the Feasible/Infeasible
-result records; the formula references reuse the formula nodes, modulus,
-FinStructure.value and the rat connectives; the back-and-forth reference
-reuses the package pieces named at the head of its section.
+result records; the formula references reuse the formula nodes, modulus
+and FinStructure.value, with their own truncated connectives; the
+back-and-forth reference reuses the package pieces named at the head of its
+section.
 """
 
 import itertools
@@ -24,8 +25,7 @@ from urybench.logic import (AbsDiff, Atom, Const, D, Half, Inf, Max, Min,
 from urybench.metric import (FinMetric, PartialIsometry,
                              append_point_completion, extend_partial_isometry,
                              parse_id, qu_extend, stage_params)
-from urybench.rat import (ONE, ZERO, check_rat01, format_rat, parse_rat01,
-                          tadd, tsub)
+from urybench.rat import ONE, ZERO, check_rat01, format_rat, parse_rat01
 
 
 def grid_values(den):
@@ -367,6 +367,18 @@ def mcshane_fill_reference(sig, seeds, space):
 # node, one Fraction per value, a fresh assignment dict per quantifier point.
 
 
+def tsub(x, y):
+    """Truncated difference max(x - y, 0)."""
+    z = x - y
+    return z if z > 0 else ZERO
+
+
+def tadd(x, y):
+    """Truncated sum min(x + y, 1)."""
+    z = x + y
+    return z if z < 1 else ONE
+
+
 def _resolve(t, asg, n):
     if isinstance(t, Var):
         if t.name not in asg:
@@ -647,6 +659,25 @@ def read_metric_reference(text, allow_extra):
         if key[1] >= len(ids):
             raise UsageError(f"dist references unknown point {key[1]}")
     return m, extra
+
+
+def metric_text_reference(space):
+    """The point/dist writer as one f-string line per point and per pair,
+    joined with newlines; an empty space is one newline."""
+    lines = [f"point {i}" for i in space.points]
+    for b in space.points:
+        lines += [f"dist {a} {b} {format_rat(space.d(a, b))}" for a in range(b)]
+    return "\n".join(lines) + "\n"
+
+
+def prefix_text_reference(prefix):
+    """The prefix writer over metric_text_reference: the space text with
+    its last newline stripped, then the snapshot and cursor lines."""
+    lines = [metric_text_reference(prefix.space).rstrip("\n")] if prefix.space.n else []
+    for t, size in enumerate(prefix.snapshots):
+        lines.append(f"snapshot {t} {size}")
+    lines.append(f"cursor {prefix.stage} {prefix.pos}")
+    return "\n".join(line for line in lines if line) + "\n"
 
 
 # --- Fraction reference for the integer difference-bound closure --------------
