@@ -17,11 +17,11 @@ from .grey import (GreyCosetCode, OraclePoint, ThresholdCone,
                    formal_inclusion, gcone_counterexample, inv_check, kappa,
                    rho_S, sat)
 from .homog import Stuck, approx_homog_test, back_and_forth, sc_check
-from .logic import (FinStructure, RelSpec, Signature, eval_formula,
-                    eval_interval, format_formula, modulus, parse)
+from .logic import (FinStructure, Signature, eval_formula, eval_interval,
+                    format_formula, modulus, parse, parse_rel)
 from .metric import (Feasible, FinMetric, PartialConstraintSet,
-                     PartialIsometry, QUPrefix, extend_partial_isometry,
-                     feasible, parse_id, qu_extend)
+                     PartialIsometry, QUPrefix, _lines, _read_points,
+                     extend_partial_isometry, feasible, parse_id, qu_extend)
 from .rat import format_rat, parse_rat, parse_rat01
 from .space import StructureCone, cone_diam, cone_member, cone_subset, delta_seq
 
@@ -47,63 +47,43 @@ def _write(path: str, text: str) -> None:
 
 def read_sig(path: str) -> Signature:
     """Signature file: `rel <name> <arity> mod <coeff>` lines."""
-    rels = []
-    for ln, raw in enumerate(_read(path).splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] != "rel" or len(parts) != 5 or parts[3] != "mod":
-            raise UsageError(f"{path}:{ln}: expected "
-                             f"'rel <name> <arity> mod <coeff>'")
-        rels.append(RelSpec(parts[1], parse_id(parts[2], "arity",
-                                               f"{path}:{ln}: "),
-                            parse_rat(parts[4])))
-    return Signature(rels)
-
-
-def _is_prefix_text(text: str) -> bool:
-    return any(line.strip().startswith("cursor")
-               for line in text.splitlines())
+    return Signature([parse_rel(parts, f"{path}:{ln}: ")
+                      for ln, parts in _lines(_read(path))])
 
 
 def read_space(path: str) -> FinMetric:
-    text = _read(path)
-    if _is_prefix_text(text):
-        return QUPrefix.from_text(text).space
-    return FinMetric.from_text(text)
+    """A metric space file, or a prefix file (one with a cursor line)."""
+    space, extra = _read_points(_read(path), allow_extra=True)
+    if any(parts[0] == "cursor" for _, parts in extra):
+        return QUPrefix.from_points(space, extra).space
+    if extra:
+        ln, parts = extra[0]
+        raise UsageError(f"line {ln}: unknown directive {parts[0]!r}")
+    return space
 
 
 def _cone_kind(text: str, path: str) -> str:
-    """gcone, tcone or con; a file with no lines at all (after comments)
-    is the structure cone with no constraints, which to_text writes as ""."""
-    kinds = set()
-    lines = 0
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    """gcone, tcone or con by the one of those heads the lines use; a file
+    with no lines at all (after comments) is the structure cone with no
+    constraints, which to_text writes as ""."""
+    kinds, lines = set(), 0
+    for ln, parts in _lines(text):
         lines += 1
-        head = line.split()[0]
-        if head == "gcone":
-            kinds.add("gcone")
-        elif head == "tcone":
-            kinds.add("tcone")
-        elif head == "con":
-            kinds.add("con")
-    if kinds == {"gcone"}:
-        return "gcone"
-    if "tcone" in kinds and "gcone" not in kinds and "con" not in kinds:
-        return "tcone"
-    if kinds == {"con"} or not lines:
+        if parts[0] in ("gcone", "tcone", "con"):
+            kinds.add(parts[0])
+            if len(kinds) > 1:
+                raise UsageError(f"{path}:{ln}: cannot tell the cone kind apart")
+    if len(kinds) == 1:
+        return kinds.pop()
+    if not lines:
         return "con"
     raise UsageError(f"{path}: cannot tell the cone kind apart")
 
 
-def parse_ids(text: str) -> tuple:
+def parse_ids(text: str, where: str = "") -> tuple:
     if not text.strip():
         return ()
-    return tuple(parse_id(tok.strip()) for tok in text.split(","))
+    return tuple(parse_id(tok.strip(), where=where) for tok in text.split(","))
 
 
 def _binds(pairs) -> dict:
@@ -129,11 +109,7 @@ class Manifest:
 def read_manifest(path: str) -> Manifest:
     base = os.path.dirname(os.path.abspath(path))
     m = Manifest()
-    for ln, raw in enumerate(_read(path).splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for ln, parts in _lines(_read(path)):
         if parts[0] == "sig" and len(parts) == 2:
             m.sig_path = os.path.join(base, parts[1])
         elif parts[0] == "prefix" and len(parts) == 2:
@@ -412,31 +388,24 @@ def _read_family(path: str, sig: Signature, n: int):
     lines; conditions are indexed 0.. in order of appearance."""
     family = []
     raw_deltas = []
-    for ln, raw in enumerate(_read(path).splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head = line.split(None, 1)[0]
-        if head == "cond":
-            parts = line.split(None, 3)
-            if len(parts) != 4:
-                raise UsageError(f"{path}:{ln}: expected "
-                                 f"'cond <thr> <ids> <formula>'")
-            ids = parse_ids(parts[2])
+    for ln, parts in _lines(_read(path)):
+        where = f"{path}:{ln}: "
+        if parts[0] == "cond":
+            if len(parts) < 4:
+                raise UsageError(f"{where}expected 'cond <thr> <ids> <formula>'")
+            ids = parse_ids(parts[2], where)
             if len(ids) != n:
-                raise UsageError(f"{path}:{ln}: witness tuple has "
-                                 f"{len(ids)} ids, want {n}")
-            family.append((ids, parse(parts[3], sig), parse_rat(parts[1])))
-        elif head == "delta":
-            parts = line.split(None, 2)
-            if len(parts) != 3:
-                raise UsageError(f"{path}:{ln}: expected "
-                                 f"'delta <i> <formula>'")
-            raw_deltas.append((ln, parse_id(parts[1], "delta index",
-                                            f"{path}:{ln}: "),
-                               parse(parts[2], sig)))
+                raise UsageError(f"{where}witness tuple has {len(ids)} ids, "
+                                 f"want {n}")
+            family.append((ids, parse(" ".join(parts[3:]), sig),
+                           parse_rat(parts[1], where)))
+        elif parts[0] == "delta":
+            if len(parts) < 3:
+                raise UsageError(f"{where}expected 'delta <i> <formula>'")
+            raw_deltas.append((ln, parse_id(parts[1], "delta index", where),
+                               parse(" ".join(parts[2:]), sig)))
         else:
-            raise UsageError(f"{path}:{ln}: unknown family line")
+            raise UsageError(f"{where}unknown family line")
     deltas = {}
     for ln, i, f in raw_deltas:
         if i >= len(family):

@@ -19,8 +19,8 @@ from .errors import PreconditionError, UsageError
 from .logic import (FinStructure, Signature, check_seed_prefix, fill_structure,
                     fill_value)
 from .metric import (FinMetric, Feasible, PartialConstraintSet,
-                     PartialIsometry, QUPrefix, append_point_completion,
-                     feasible, parse_id, qu_extend)
+                     PartialIsometry, QUPrefix, _lines,
+                     append_point_completion, feasible, parse_id, qu_extend)
 from .rat import ONE, ZERO, Rat01, format_rat, parse_rat, parse_rat01
 from .space import (ConeConstraint, SeqIndex, StructureCone, cone_member,
                     cone_nonempty, cone_subset)
@@ -85,25 +85,28 @@ class GreyCosetCode:
 
     @classmethod
     def from_text(cls, text: str) -> "GreyCosetCode":
-        lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-        lines = [ln for ln in lines if ln]
+        lines = list(_lines(text))
         if len(lines) != 1:
-            raise UsageError("expected exactly one gcone line")
-        parts = lines[0].split()
+            at = f"line {lines[1][0]}: " if lines else ""
+            raise UsageError(f"{at}expected exactly one gcone line")
+        ln, parts = lines[0]
         keys = ("q", "s", "s'", "thr", "op")
-        if parts[0] != "gcone" or len(parts) != 6:
-            raise UsageError(f"bad gcone line: {lines[0]!r}")
-        vals = {}
-        for part, key in zip(parts[1:], keys):
-            if not part.startswith(key + "="):
-                raise UsageError(f"expected {key}=... in {lines[0]!r}")
-            vals[key] = part[len(key) + 1:]
 
         def ids(tok):
             return tuple(parse_id(piece) for piece in tok.split(","))
 
-        return cls(parse_rat(vals["q"]), ids(vals["s"]), ids(vals["s'"]),
-                   parse_rat01(vals["thr"]), vals["op"])
+        try:
+            if parts[0] != "gcone" or len(parts) != 6:
+                raise UsageError("bad gcone line")
+            vals = {}
+            for part, key in zip(parts[1:], keys):
+                if not part.startswith(key + "="):
+                    raise UsageError(f"expected {key}=... in place of {part!r}")
+                vals[key] = part[len(key) + 1:]
+            return cls(parse_rat(vals["q"]), ids(vals["s"]), ids(vals["s'"]),
+                       parse_rat01(vals["thr"]), vals["op"])
+        except UsageError as exc:
+            raise UsageError(f"line {ln}: {exc}") from None
 
 
 def coset_value(code: GreyCosetCode, g: PartialIsometry,
@@ -460,26 +463,26 @@ class ThresholdCone:
     def from_text(cls, text: str, sig: Signature) -> "ThresholdCone":
         r = None
         terms = []
-        for raw in text.splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if parts[0] == "tcone" and len(parts) == 2 \
-                    and parts[1].startswith("r="):
-                if r is not None:
-                    raise UsageError("duplicate tcone line")
-                r = parse_rat(parts[1][2:])
-            elif parts[0] == "term" and len(parts) >= 3:
-                spec = sig.get(parts[1])
-                if spec is None:
-                    raise UsageError(f"unknown relation in {raw!r}")
-                if len(parts) != 3 + spec.arity:
-                    raise UsageError(f"bad term line: {raw!r}")
-                tup = tuple(parse_id(x) for x in parts[2:2 + spec.arity])
-                terms.append((parts[1], tup, parse_rat01(parts[-1])))
-            else:
-                raise UsageError(f"unrecognized line: {raw!r}")
+        for ln, parts in _lines(text):
+            try:
+                if parts[0] == "tcone" and len(parts) == 2 \
+                        and parts[1].startswith("r="):
+                    if r is not None:
+                        raise UsageError("duplicate tcone line")
+                    r = parse_rat(parts[1][2:])
+                elif parts[0] == "term" and len(parts) >= 3:
+                    spec = sig.get(parts[1])
+                    if spec is None:
+                        raise UsageError(f"unknown relation {parts[1]!r}")
+                    if len(parts) != 3 + spec.arity:
+                        raise UsageError(f"term line for {spec.name} needs "
+                                         f"{3 + spec.arity} tokens")
+                    tup = tuple(parse_id(x) for x in parts[2:-1])
+                    terms.append((parts[1], tup, parse_rat01(parts[-1])))
+                else:
+                    raise UsageError(f"unrecognized {parts[0]!r} line")
+            except UsageError as exc:
+                raise UsageError(f"line {ln}: {exc}") from None
         if r is None:
             raise UsageError("missing tcone line")
         return cls(sig, tuple(terms), r)

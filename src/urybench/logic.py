@@ -16,8 +16,9 @@ from math import lcm
 from typing import Optional, Union
 
 from .errors import PreconditionError, UsageError
-from .metric import FinMetric, QUPrefix, parse_id
-from .rat import ONE, ZERO, Rat01, check_rat01, format_rat, parse_rat
+from .metric import FinMetric, QUPrefix, _read_points, parse_id
+from .rat import (ONE, ZERO, Rat01, check_rat01, format_rat, parse_rat,
+                  parse_rat01)
 
 KEYWORDS = ("neg", "half", "tsub", "tadd", "tmul", "min", "max", "absdiff",
             "sup", "inf", "d")
@@ -61,6 +62,15 @@ class Signature:
 
     def __eq__(self, other):
         return isinstance(other, Signature) and self.relations == other.relations
+
+
+def parse_rel(parts: list[str], where: str) -> RelSpec:
+    """The relation of a `rel <name> <arity> mod <coeff>` line's tokens;
+    where prefixes every error."""
+    if parts[0] != "rel" or len(parts) != 5 or parts[3] != "mod":
+        raise UsageError(f"{where}expected 'rel <name> <arity> mod <coeff>'")
+    return RelSpec(parts[1], parse_id(parts[2], "arity", where),
+                   parse_rat(parts[4], where))
 
 
 @dataclass(frozen=True)
@@ -422,43 +432,31 @@ class FinStructure:
 
     @classmethod
     def from_text(cls, text: str) -> "FinStructure":
-        metric_lines, rel_lines, val_lines = [], [], []
-        for raw in text.splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            kind = line.split()[0]
-            if kind in ("point", "dist"):
-                metric_lines.append(line)
-            elif kind == "rel":
-                rel_lines.append(line)
-            elif kind == "val":
-                val_lines.append(line)
+        space, extra = _read_points(text, allow_extra=True)
+        rels, vals = [], []
+        for ln, parts in extra:
+            if parts[0] == "rel":
+                rels.append(parse_rel(parts, f"line {ln}: "))
+            elif parts[0] == "val":
+                vals.append((ln, parts))
             else:
-                raise UsageError(f"unrecognized line: {raw!r}")
-        space = FinMetric.from_text("\n".join(metric_lines))
-        rels = []
-        for line in rel_lines:
-            parts = line.split()
-            if len(parts) != 5 or parts[3] != "mod":
-                raise UsageError(f"bad rel line: {line!r}")
-            rels.append(RelSpec(parts[1], parse_id(parts[2], "arity"),
-                                parse_rat(parts[4])))
+                raise UsageError(f"line {ln}: unknown directive {parts[0]!r}")
         sig = Signature(rels)
         tables = {r.name: {} for r in rels}
-        for line in val_lines:
-            parts = line.split()
-            spec = sig.get(parts[1]) if len(parts) > 1 else None
-            if spec is None:
-                raise UsageError(f"val for undeclared relation: {line!r}")
-            if len(parts) != 3 + spec.arity:
-                raise UsageError(f"bad val line: {line!r}")
-            tup = tuple(parse_id(x) for x in parts[2:2 + spec.arity])
-            v = parse_rat(parts[-1])
-            if not 0 <= v <= 1:
-                raise UsageError(f"val outside [0, 1]: {line!r}")
-            if tup in tables[spec.name]:
-                raise UsageError(f"duplicate val for {spec.name}{tup}")
+        for ln, parts in vals:
+            try:
+                spec = sig.get(parts[1]) if len(parts) > 1 else None
+                if spec is None:
+                    raise UsageError("val for undeclared relation")
+                if len(parts) != 3 + spec.arity:
+                    raise UsageError(f"val line for {spec.name} needs "
+                                     f"{3 + spec.arity} tokens")
+                tup = tuple(parse_id(x) for x in parts[2:-1])
+                v = parse_rat01(parts[-1])
+                if tup in tables[spec.name]:
+                    raise UsageError(f"duplicate val for {spec.name}{tup}")
+            except UsageError as exc:
+                raise UsageError(f"line {ln}: {exc}") from None
             tables[spec.name][tup] = v
         m = cls(sig, space, tables)
         m.check()

@@ -208,9 +208,9 @@ def _lines(text: str):
         start = cut
 
 
-def _dist_line(ln: int, parts: list[str], ids: dict, vals: dict, value):
-    """(lo, hi, value(v)) of a `dist a b v` line.  ids and vals cache the
-    parsed id tokens and value(v) per value token."""
+def _dist_line(ln: int, parts: list[str], ids: dict, vals: dict):
+    """(lo, hi, v) of a `dist a b v` line, v in [0, 1].  ids and vals cache
+    the parsed id and value tokens."""
     if len(parts) != 4:
         raise UsageError(f"line {ln}: dist takes two ids and a value")
     _, ta, tb, tv = parts
@@ -224,7 +224,7 @@ def _dist_line(ln: int, parts: list[str], ids: dict, vals: dict, value):
         raise UsageError(f"line {ln}: dist needs distinct points")
     v = vals.get(tv)
     if v is None:
-        v = vals[tv] = value(tv)
+        v = vals[tv] = parse_rat01(tv, f"line {ln}: ")
     return (a, b, v) if a < b else (b, a, v)
 
 
@@ -255,10 +255,10 @@ def _read_points(text: str, allow_extra: bool):
     row: list[int] = []
     open_hi, open_tb = -1, None
 
-    def value(tok: str) -> int:
-        v = parse_rat01(tok)
+    def value(tok: str, ln: int) -> int:
+        v = parse_rat01(tok, f"line {ln}: ")
         if not v:
-            raise UsageError(f"distance {v} outside (0, 1]")
+            raise UsageError(f"line {ln}: distance {v} outside (0, 1]")
         k = val_of[tok] = seen.setdefault(v, len(seen))
         return k
 
@@ -281,7 +281,7 @@ def _read_points(text: str, allow_extra: bool):
                     raise UsageError(f"line {ln}: dist needs distinct points")
             k = val_of.get(tv)
             if k is None:
-                k = value(tv)
+                k = value(tv, ln)
             if not nxt:
                 if open_tb is not None:
                     part[open_hi] = dict(enumerate(row))
@@ -466,7 +466,7 @@ class PartialConstraintSet:
                     raise UsageError(f"line {ln}: point takes one id")
                 ids.append(_parse_id(parts[1], ln))
             elif parts[0] == "dist":
-                a, b, v = _dist_line(ln, parts, id_of, val_of, parse_rat01)
+                a, b, v = _dist_line(ln, parts, id_of, val_of)
                 if dists.get((a, b), v) != v:
                     raise UsageError(f"line {ln}: conflicting dist for {(a, b)}")
                 dists[a, b] = v
@@ -478,15 +478,16 @@ class PartialConstraintSet:
         for (a, b), v in dists.items():
             c.add_exact(a, b, v)
         for ln, parts in bounds:
-            if len(parts) not in (4, 5):
-                raise UsageError(f"line {ln}: {parts[0]} takes ids, value, [strict]")
-            strict = False
-            if len(parts) == 5:
-                if parts[4] != "strict":
-                    raise UsageError(f"line {ln}: trailing token must be 'strict'")
-                strict = True
-            a, b = _parse_id(parts[1], ln), _parse_id(parts[2], ln)
-            v = parse_rat01(parts[3])
+            try:
+                if len(parts) not in (4, 5):
+                    raise UsageError(f"{parts[0]} takes ids, value, [strict]")
+                if len(parts) == 5 and parts[4] != "strict":
+                    raise UsageError("trailing token must be 'strict'")
+                a, b = parse_id(parts[1]), parse_id(parts[2])
+                v = parse_rat01(parts[3])
+            except UsageError as exc:
+                raise UsageError(f"line {ln}: {exc}") from None
+            strict = len(parts) == 5
             if parts[0] == "lower":
                 c.add_lower(a, b, v, strict)
             else:
@@ -778,7 +779,12 @@ class QUPrefix:
 
     @classmethod
     def from_text(cls, text: str) -> "QUPrefix":
-        space, extra = _read_points(text, allow_extra=True)
+        return cls.from_points(*_read_points(text, allow_extra=True))
+
+    @classmethod
+    def from_points(cls, space: FinMetric, extra) -> "QUPrefix":
+        """The prefix of a space and the extra lines that _read_points
+        returned with it: its snapshot and cursor lines."""
         snapshots: dict[int, int] = {}
         cursor = None
         for ln, parts in extra:

@@ -23,26 +23,26 @@ ONE = Fraction(1)
 _RAT = re.compile(r"(-?[0-9]+)(?:\s*/\s*([0-9]+))?")
 
 
-def check_rat01(x: Fraction) -> Fraction:
+def check_rat01(x: Fraction, where: str = "") -> Fraction:
     if x < 0 or x > 1:
-        raise UsageError(f"value {x} outside [0, 1]")
+        raise UsageError(f"{where}value {x} outside [0, 1]")
     return x
 
 
-def parse_rat(text: str) -> Fraction:
+def parse_rat(text: str, where: str = "") -> Fraction:
     """Parse `p/q` (also bare integers; `0` and `1` are the usual shorthands).
 
     p and q are ASCII digit strings; p may carry a leading '-'.  Blanks
-    may surround the text and the '/'.
+    may surround the text and the '/'.  where prefixes the error message.
     """
     m = _RAT.fullmatch(text.strip())
     if m is None or (m[2] is not None and int(m[2]) == 0):
-        raise UsageError(f"bad rational {text!r}")
+        raise UsageError(f"{where}bad rational {text!r}")
     return Fraction(int(m[1]), int(m[2] or 1))
 
 
-def parse_rat01(text: str) -> Fraction:
-    return check_rat01(parse_rat(text))
+def parse_rat01(text: str, where: str = "") -> Fraction:
+    return check_rat01(parse_rat(text, where), where)
 
 
 def format_rat(x: Fraction) -> str:

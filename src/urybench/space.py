@@ -14,7 +14,7 @@ from math import lcm
 
 from .errors import PreconditionError, UsageError
 from .logic import FinStructure, Signature
-from .metric import FinMetric, dbm_close, dbm_entry, parse_id
+from .metric import FinMetric, _lines, dbm_close, dbm_entry, parse_id
 from .rat import ONE, ZERO, Rat01, format_rat, parse_rat
 
 
@@ -177,24 +177,23 @@ class StructureCone:
     @classmethod
     def from_text(cls, text: str, sig: Signature) -> "StructureCone":
         cons = []
-        for raw in text.splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if parts[0] != "con" or len(parts) < 5:
-                raise UsageError(f"unrecognized line: {raw!r}")
-            spec = sig.get(parts[1])
-            if spec is None:
-                raise UsageError(f"unknown relation in {raw!r}")
-            if len(parts) != 5 + spec.arity:
-                raise UsageError(f"bad con line: {raw!r}")
-            tup = tuple(parse_id(x) for x in parts[2:2 + spec.arity])
-            lo = parse_rat(parts[-3])
-            hi = parse_rat(parts[-2])
-            fl = parts[-1]
-            if fl not in ("oo", "oc", "co", "cc"):
-                raise UsageError(f"bad flags in {raw!r}")
+        for ln, parts in _lines(text):
+            try:
+                if parts[0] != "con" or len(parts) < 5:
+                    raise UsageError(f"unrecognized {parts[0]!r} line")
+                spec = sig.get(parts[1])
+                if spec is None:
+                    raise UsageError(f"unknown relation {parts[1]!r}")
+                if len(parts) != 5 + spec.arity:
+                    raise UsageError(f"con line for {spec.name} needs "
+                                     f"{5 + spec.arity} tokens")
+                tup = tuple(parse_id(x) for x in parts[2:-3])
+                lo, hi = parse_rat(parts[-3]), parse_rat(parts[-2])
+                fl = parts[-1]
+                if fl not in ("oo", "oc", "co", "cc"):
+                    raise UsageError(f"bad flags {fl!r}")
+            except UsageError as exc:
+                raise UsageError(f"line {ln}: {exc}") from None
             cons.append(ConeConstraint(parts[1], tup, lo, hi,
                                        fl[0] == "o", fl[1] == "o"))
         return cls(sig, cons)

@@ -7,25 +7,30 @@ The Fraction references at the end reuse only the id and rational parsers,
 stage_params, FinMetric's public accessors and the Feasible/Infeasible
 result records; the formula references reuse the formula nodes, modulus
 and FinStructure.value, with their own truncated connectives; the
-back-and-forth reference reuses the package pieces named at the head of its
-section.
+back-and-forth and text reader references reuse the package pieces named at
+the head of their sections.
 """
 
 import itertools
 import math
+import os
 import random
 from fractions import Fraction
 
+from urybench import cli
 from urybench.errors import PreconditionError, UsageError
+from urybench.grey import GreyCosetCode, ThresholdCone
 from urybench.homog import (BackForthState, DriftCertificate, Stuck,
                             _atom_gap, stage_budget)
-from urybench.logic import (AbsDiff, Atom, Const, D, Half, Inf, Max, Min,
-                            Neg, Sup, TAdd, TMul, TSub, Var,
-                            check_seed_prefix, modulus)
-from urybench.metric import (FinMetric, PartialIsometry,
+from urybench.logic import (AbsDiff, Atom, Const, D, FinStructure, Half, Inf,
+                            Max, Min, Neg, RelSpec, Signature, Sup, TAdd, TMul,
+                            TSub, Var, check_seed_prefix, modulus, parse)
+from urybench.metric import (FinMetric, PartialIsometry, QUPrefix,
                              append_point_completion, extend_partial_isometry,
                              parse_id, qu_extend, stage_params)
-from urybench.rat import ONE, ZERO, check_rat01, format_rat, parse_rat01
+from urybench.rat import (ONE, ZERO, check_rat01, format_rat, parse_rat,
+                          parse_rat01)
+from urybench.space import ConeConstraint, StructureCone
 
 
 def grid_values(den):
@@ -636,7 +641,12 @@ def read_metric_reference(text, allow_extra):
             b = parse_id(parts[2], where=f"line {ln}: ")
             if a == b:
                 raise UsageError(f"line {ln}: dist needs distinct points")
-            v = parse_rat01(parts[3])
+            try:
+                v = parse_rat01(parts[3])
+            except UsageError as exc:
+                raise UsageError(f"line {ln}: {exc}") from None
+            if not v:
+                raise UsageError(f"line {ln}: distance 0 outside (0, 1]")
             key = (a, b) if a <= b else (b, a)
             if key in dists and dists[key] != v:
                 raise UsageError(f"line {ln}: conflicting dist for {key}")
@@ -1021,3 +1031,244 @@ def approx_homog_reference(prefix, n, eps, denom_bound):
     for abar, bbar, why in failures:
         lines.append(f"fail {abar} -> {bbar}: {why}")
     return tuple(lines)
+
+
+# --- references for the text readers ------------------------------------------
+#
+# The readers as they were before every one of them took its lines from
+# metric._lines: each split the text and stripped '#' comments by itself,
+# FinStructure.from_text joined its point/dist lines and read them a second
+# time, and read_space split the whole text again to look for a `cursor`
+# line.  They reuse the id, rational and formula parsers, the metric and
+# prefix readers and the classes they build.
+
+def read_sig_reference(path):
+    rels = []
+    for ln, raw in enumerate(cli._read(path).splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if parts[0] != "rel" or len(parts) != 5 or parts[3] != "mod":
+            raise UsageError(f"{path}:{ln}: expected "
+                             f"'rel <name> <arity> mod <coeff>'")
+        rels.append(RelSpec(parts[1], parse_id(parts[2], "arity",
+                                               f"{path}:{ln}: "),
+                            parse_rat(parts[4])))
+    return Signature(rels)
+
+
+def is_prefix_text_reference(text):
+    return any(line.strip().startswith("cursor")
+               for line in text.splitlines())
+
+
+def read_space_reference(path):
+    text = cli._read(path)
+    if is_prefix_text_reference(text):
+        return QUPrefix.from_text(text).space
+    return FinMetric.from_text(text)
+
+
+def cone_kind_reference(text, path):
+    kinds = set()
+    lines = 0
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        lines += 1
+        head = line.split()[0]
+        if head == "gcone":
+            kinds.add("gcone")
+        elif head == "tcone":
+            kinds.add("tcone")
+        elif head == "con":
+            kinds.add("con")
+    if kinds == {"gcone"}:
+        return "gcone"
+    if "tcone" in kinds and "gcone" not in kinds and "con" not in kinds:
+        return "tcone"
+    if kinds == {"con"} or not lines:
+        return "con"
+    raise UsageError(f"{path}: cannot tell the cone kind apart")
+
+
+def read_manifest_reference(path):
+    base = os.path.dirname(os.path.abspath(path))
+    m = cli.Manifest()
+    for ln, raw in enumerate(cli._read(path).splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if parts[0] == "sig" and len(parts) == 2:
+            m.sig_path = os.path.join(base, parts[1])
+        elif parts[0] == "prefix" and len(parts) == 2:
+            m.prefix_path = os.path.join(base, parts[1])
+        elif parts[0] == "stage" and len(parts) == 2:
+            m.stage = parse_id(parts[1], "stage", f"{path}:{ln}: ")
+        else:
+            raise UsageError(f"{path}:{ln}: unknown manifest line")
+    return m
+
+
+def _parse_ids_reference(text):
+    if not text.strip():
+        return ()
+    return tuple(parse_id(tok.strip()) for tok in text.split(","))
+
+
+def read_family_reference(path, sig, n):
+    family = []
+    raw_deltas = []
+    for ln, raw in enumerate(cli._read(path).splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        head = line.split(None, 1)[0]
+        if head == "cond":
+            parts = line.split(None, 3)
+            if len(parts) != 4:
+                raise UsageError(f"{path}:{ln}: expected "
+                                 f"'cond <thr> <ids> <formula>'")
+            ids = _parse_ids_reference(parts[2])
+            if len(ids) != n:
+                raise UsageError(f"{path}:{ln}: witness tuple has "
+                                 f"{len(ids)} ids, want {n}")
+            family.append((ids, parse(parts[3], sig), parse_rat(parts[1])))
+        elif head == "delta":
+            parts = line.split(None, 2)
+            if len(parts) != 3:
+                raise UsageError(f"{path}:{ln}: expected "
+                                 f"'delta <i> <formula>'")
+            raw_deltas.append((ln, parse_id(parts[1], "delta index",
+                                            f"{path}:{ln}: "),
+                               parse(parts[2], sig)))
+        else:
+            raise UsageError(f"{path}:{ln}: unknown family line")
+    deltas = {}
+    for ln, i, f in raw_deltas:
+        if i >= len(family):
+            raise UsageError(f"{path}:{ln}: delta index {i} has no condition")
+        deltas.setdefault(i, []).append(f)
+    return family, deltas
+
+
+def gcone_reference(text):
+    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln]
+    if len(lines) != 1:
+        raise UsageError("expected exactly one gcone line")
+    parts = lines[0].split()
+    keys = ("q", "s", "s'", "thr", "op")
+    if parts[0] != "gcone" or len(parts) != 6:
+        raise UsageError(f"bad gcone line: {lines[0]!r}")
+    vals = {}
+    for part, key in zip(parts[1:], keys):
+        if not part.startswith(key + "="):
+            raise UsageError(f"expected {key}=... in {lines[0]!r}")
+        vals[key] = part[len(key) + 1:]
+
+    def ids(tok):
+        return tuple(parse_id(piece) for piece in tok.split(","))
+
+    return GreyCosetCode(parse_rat(vals["q"]), ids(vals["s"]), ids(vals["s'"]),
+                         parse_rat01(vals["thr"]), vals["op"])
+
+
+def tcone_reference(text, sig):
+    r = None
+    terms = []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if parts[0] == "tcone" and len(parts) == 2 \
+                and parts[1].startswith("r="):
+            if r is not None:
+                raise UsageError("duplicate tcone line")
+            r = parse_rat(parts[1][2:])
+        elif parts[0] == "term" and len(parts) >= 3:
+            spec = sig.get(parts[1])
+            if spec is None:
+                raise UsageError(f"unknown relation in {raw!r}")
+            if len(parts) != 3 + spec.arity:
+                raise UsageError(f"bad term line: {raw!r}")
+            tup = tuple(parse_id(x) for x in parts[2:2 + spec.arity])
+            terms.append((parts[1], tup, parse_rat01(parts[-1])))
+        else:
+            raise UsageError(f"unrecognized line: {raw!r}")
+    if r is None:
+        raise UsageError("missing tcone line")
+    return ThresholdCone(sig, tuple(terms), r)
+
+
+def structure_cone_reference(text, sig):
+    cons = []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if parts[0] != "con" or len(parts) < 5:
+            raise UsageError(f"unrecognized line: {raw!r}")
+        spec = sig.get(parts[1])
+        if spec is None:
+            raise UsageError(f"unknown relation in {raw!r}")
+        if len(parts) != 5 + spec.arity:
+            raise UsageError(f"bad con line: {raw!r}")
+        tup = tuple(parse_id(x) for x in parts[2:2 + spec.arity])
+        lo = parse_rat(parts[-3])
+        hi = parse_rat(parts[-2])
+        fl = parts[-1]
+        if fl not in ("oo", "oc", "co", "cc"):
+            raise UsageError(f"bad flags in {raw!r}")
+        cons.append(ConeConstraint(parts[1], tup, lo, hi,
+                                   fl[0] == "o", fl[1] == "o"))
+    return StructureCone(sig, cons)
+
+
+def structure_reference(text):
+    metric_lines, rel_lines, val_lines = [], [], []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        kind = line.split()[0]
+        if kind in ("point", "dist"):
+            metric_lines.append(line)
+        elif kind == "rel":
+            rel_lines.append(line)
+        elif kind == "val":
+            val_lines.append(line)
+        else:
+            raise UsageError(f"unrecognized line: {raw!r}")
+    space = FinMetric.from_text("\n".join(metric_lines))
+    rels = []
+    for line in rel_lines:
+        parts = line.split()
+        if len(parts) != 5 or parts[3] != "mod":
+            raise UsageError(f"bad rel line: {line!r}")
+        rels.append(RelSpec(parts[1], parse_id(parts[2], "arity"),
+                            parse_rat(parts[4])))
+    sig = Signature(rels)
+    tables = {r.name: {} for r in rels}
+    for line in val_lines:
+        parts = line.split()
+        spec = sig.get(parts[1]) if len(parts) > 1 else None
+        if spec is None:
+            raise UsageError(f"val for undeclared relation: {line!r}")
+        if len(parts) != 3 + spec.arity:
+            raise UsageError(f"bad val line: {line!r}")
+        tup = tuple(parse_id(x) for x in parts[2:2 + spec.arity])
+        v = parse_rat(parts[-1])
+        if not 0 <= v <= 1:
+            raise UsageError(f"val outside [0, 1]: {line!r}")
+        if tup in tables[spec.name]:
+            raise UsageError(f"duplicate val for {spec.name}{tup}")
+        tables[spec.name][tup] = v
+    m = FinStructure(sig, space, tables)
+    m.check()
+    return m
