@@ -247,7 +247,10 @@ def cmd_delta_seq(args) -> int:
 
 def _read_structure_cone(path: str, sig: Signature) -> StructureCone:
     text = _read(path)
-    kind = _cone_kind(text, path)
+    return _structure_cone(text, _cone_kind(text, path), path, sig)
+
+
+def _structure_cone(text: str, kind: str, path: str, sig: Signature) -> StructureCone:
     if kind == "con":
         return StructureCone.from_text(text, sig)
     if kind == "tcone":
@@ -290,8 +293,8 @@ def cmd_cone_subset(args) -> int:
             lines.append(f"d {a} {b} {format_rat(wit.dists[(a, b)])}")
         emit(*lines)
         return 1
-    c1 = _read_structure_cone(args.left, sig)
-    c2 = _read_structure_cone(args.right, sig)
+    c1, c2 = (_structure_cone(text, kind, path, sig) for text, kind, path in
+              zip((left_text, right_text), kinds, (args.left, args.right)))
     return _bool_exit(cone_subset(c1, c2, space))
 
 
@@ -397,13 +400,13 @@ def _read_family(path: str, sig: Signature, n: int):
             if len(ids) != n:
                 raise UsageError(f"{where}witness tuple has {len(ids)} ids, "
                                  f"want {n}")
-            family.append((ids, parse(" ".join(parts[3:]), sig),
+            family.append((ids, parse(" ".join(parts[3:]), sig, where),
                            parse_rat(parts[1], where)))
         elif parts[0] == "delta":
             if len(parts) < 3:
                 raise UsageError(f"{where}expected 'delta <i> <formula>'")
             raw_deltas.append((ln, parse_id(parts[1], "delta index", where),
-                               parse(" ".join(parts[2:]), sig)))
+                               parse(" ".join(parts[2:]), sig, where)))
         else:
             raise UsageError(f"{where}unknown family line")
     deltas = {}

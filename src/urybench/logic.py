@@ -220,13 +220,14 @@ def format_formula(f: Formula) -> str:
 class _Parser:
     """Recursive-descent parser for the function-style formula syntax."""
 
-    def __init__(self, text: str, sig: Signature):
+    def __init__(self, text: str, sig: Signature, where: str = ""):
         self.text = text
         self.sig = sig
         self.pos = 0
+        self.where = where
 
     def fail(self, msg: str):
-        raise UsageError(f"{msg} at position {self.pos}")
+        raise UsageError(f"{self.where}{msg} at position {self.pos}")
 
     def _skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -347,8 +348,8 @@ class _Parser:
         return Atom(name, tuple(args))
 
 
-def parse(text: str, sig: Signature) -> Formula:
-    p = _Parser(text, sig)
+def parse(text: str, sig: Signature, where: str = "") -> Formula:
+    p = _Parser(text, sig, where)
     f = p.formula()
     if p._peek() != "":
         p.fail("trailing input")
@@ -403,7 +404,9 @@ class FinStructure:
             table = self.tables.get(spec.name)
             if table is None:
                 raise PreconditionError(f"missing table for {spec.name}")
-            tuples = list(itertools.product(pts, repeat=spec.arity))
+            # a table short of n**arity misses one of its first len + 1 tuples
+            tuples = list(itertools.islice(itertools.product(
+                pts, repeat=spec.arity), len(table) + 1))
             for t in tuples:
                 if t not in table:
                     raise PreconditionError(f"no table value for {spec.name}{t}")

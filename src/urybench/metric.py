@@ -761,15 +761,19 @@ class QUPrefix:
 
     space grows only by schedule items (and targeted isometry extensions);
     (stage, pos) is the replayable schedule cursor, snapshots[t] the space
-    size when stage t started.
+    size when stage t started.  resume, where _walk picks up (stage, pos
+    at which the cursor's anchor subset starts, that subset), is not text
+    and not compared; copies share it.
     """
     space: FinMetric = field(default_factory=FinMetric)
     stage: int = 0
     pos: int = 0
     snapshots: list[int] = field(default_factory=lambda: [0])
+    resume: tuple | None = field(default=None, compare=False, repr=False)
 
     def copy(self) -> "QUPrefix":
-        return QUPrefix(self.space.copy(), self.stage, self.pos, list(self.snapshots))
+        return QUPrefix(self.space.copy(), self.stage, self.pos,
+                        list(self.snapshots), self.resume)
 
     def to_text(self) -> str:
         parts = self.space._text_parts()
@@ -837,25 +841,30 @@ def _extension_types(space: FinMetric, anchors: tuple[int, ...],
     yield from rec(0)
 
 
-def _stage_items(space: FinMetric, snapshot: int, k: int, values: list[int]):
-    """Schedule items of one stage: (anchor subset, admissible type) pairs,
-    subsets of the stage-start snapshot by (size, lex), types by lex."""
-    for size in range(0, k + 1):
-        for anchors in itertools.combinations(range(snapshot), size):
-            for typ in _extension_types(space, anchors, values):
-                yield anchors, typ
+def _next_subset(anchors: tuple[int, ...], n: int, k: int):
+    """The subset of range(n) after anchors by (size, lex), sizes <= k, or None."""
+    s = len(anchors)
+    for i in reversed(range(s)):
+        if anchors[i] < n - s + i:
+            return anchors[:i] + tuple(range(anchors[i] + 1, anchors[i] + 1 + s - i))
+    return tuple(range(s + 1)) if s < min(k, n) else None
 
 
-def _amalgam(top: int, n: int, anchors: tuple[int, ...], cols: list[list[int]],
-             typ: tuple[int, ...]) -> list[int]:
+def _amalgam(top: int, n: int, cols: list[list[int]], typ: tuple[int, ...],
+             sigs=None) -> list[int]:
     """Distances of a new point to points 0..n-1 at the admissible anchor
     distances typ: the one-point amalgam min(top, min_a(r_a + d(a, z))),
     where cols[i] holds d(anchors[i], z) and top is 1 over the same
-    denominator.  Admissibility makes it r_a at each anchor a."""
-    if not anchors:
+    denominator.  Admissibility makes it r_a at each anchor a.  Given sigs,
+    every point's signature (tuple of anchor distances), it is computed
+    once per signature and looked up per point; else point by point."""
+    if not cols:
         return [top] * n
-    return list(map(min, itertools.repeat(top, n),
-                    *[map(r.__add__, col) for r, col in zip(typ, cols)]))
+    vals = map(min, itertools.repeat(top), *[map(r.__add__, c) for r, c in zip(
+        typ, cols if sigs is None else zip(*sigs))])
+    if sigs is None:
+        return list(vals)
+    return list(map(dict(zip(sigs, vals)).__getitem__, zip(*cols)))
 
 
 def append_point_completion(space: FinMetric, known: dict[int, Fraction]) -> int:
@@ -878,7 +887,7 @@ def append_point_completion(space: FinMetric, known: dict[int, Fraction]) -> int
     nums = tuple(space._lattice(typ))
     if not _admissible_over(space._num, anchors, nums):
         raise PreconditionError("pinned distances violate a triangle bound")
-    return space._append_row(_amalgam(space._den, space.n, anchors,
+    return space._append_row(_amalgam(space._den, space.n,
                                       [space._column(a) for a in anchors], nums))
 
 
@@ -886,34 +895,44 @@ def _walk(out: QUPrefix):
     """Advance out's schedule cursor in place, item by item.
 
     Yields True after each item and False after each roll to the next
-    stage.  An item is skipped if some point already realizes its type,
-    found through an index from anchor column to the smallest point with
-    that column, built once per anchor subset and kept up to date on
-    append; else a new point realizes it.
+    stage.  Items are (anchor subset, type) pairs, subsets of the stage-start
+    snapshot by (size, lex), types by lex; the walk counts to the cursor from
+    out.resume if that is in the stage and not past it, else from its start.
+    A point realizing the type, found through an index from anchor signature
+    to the smallest point with it (built per subset, kept up to date on
+    append), skips the item; else a new point realizes it.
     """
     space = out.space
     while True:
         k, bound = stage_params(out.stage)
         values = space._lattice(denom_values(bound))
-        top = space._den
-        current, cols, index = None, [], {}
-        items = _stage_items(space, out.snapshots[out.stage], k, values)
-        for anchors, typ in itertools.islice(items, out.pos, None):
-            if anchors != current:
-                current = anchors
-                cols = [space._column(a) for a in anchors]
-                index = {} if anchors or not space.n else {(): 0}
-                for p, col in enumerate(zip(*cols)):
-                    index.setdefault(col, p)
-            if typ not in index:
-                index[typ] = space._append_row(
-                    _amalgam(top, space.n, anchors, cols, typ))
-                for col, r in zip(cols, typ):
-                    col.append(r)
-            out.pos += 1
-            yield True
+        stage, start, anchors = out.resume or (None, 0, ())
+        if stage != out.stage or start > out.pos:
+            start, anchors = 0, ()
+        while anchors is not None:
+            out.resume = (out.stage, start, anchors)
+            types = _extension_types(space, anchors, values)
+            start += sum(1 for _ in itertools.islice(types, out.pos - start))
+            index = None
+            for typ in types:
+                if index is None:
+                    cols = [space._column(a) for a in anchors]
+                    index = {} if anchors or not space.n else {(): 0}
+                    for p, sig in enumerate(zip(*cols)):
+                        index.setdefault(sig, p)
+                if typ not in index:
+                    index[typ] = space._append_row(
+                        _amalgam(space._den, space.n, cols, typ, index))
+                    for col, r in zip(cols, typ):
+                        col.append(r)
+                out.pos += 1
+                yield True
+            if index is not None:
+                start = out.pos
+            anchors = _next_subset(anchors, out.snapshots[out.stage], k)
         out.stage += 1
         out.pos = 0
+        out.resume = None
         out.snapshots.append(space.n)
         yield False
 
@@ -1061,7 +1080,7 @@ def extension_image(space: FinMetric, anchors: tuple[int, ...],
     for p in cands:
         if accept is None or accept(p):
             return p
-    w = space._append_row(_amalgam(space._den, space.n, anchors, cols, typ))
+    w = space._append_row(_amalgam(space._den, space.n, cols, typ))
     if accept is None or accept(w):
         return w
     space.truncate(w)

@@ -26,8 +26,9 @@ from urybench.logic import (AbsDiff, Atom, Const, D, FinStructure, Half, Inf,
                             Max, Min, Neg, RelSpec, Signature, Sup, TAdd, TMul,
                             TSub, Var, check_seed_prefix, modulus, parse)
 from urybench.metric import (FinMetric, PartialIsometry, QUPrefix,
-                             append_point_completion, extend_partial_isometry,
-                             parse_id, qu_extend, stage_params)
+                             _extension_types, append_point_completion,
+                             denom_values, extend_partial_isometry, parse_id,
+                             qu_extend, stage_params)
 from urybench.rat import (ONE, ZERO, check_rat01, format_rat, parse_rat,
                           parse_rat01)
 from urybench.space import ConeConstraint, StructureCone
@@ -688,6 +689,58 @@ def prefix_text_reference(prefix):
         lines.append(f"snapshot {t} {size}")
     lines.append(f"cursor {prefix.stage} {prefix.pos}")
     return "\n".join(line for line in lines if line) + "\n"
+
+
+# --- the schedule walk before it resumed --------------------------------------
+#
+# metric._walk as it was before QUPrefix kept a resume point and before the
+# amalgam went through a per-signature table: every call enumerates the
+# stage from its first item and skips to the cursor, and each new row is a
+# per-point min.  It reuses the lattice accessors of FinMetric and
+# metric._extension_types.
+
+
+def walk_reference(out):
+    """Advance out's schedule cursor in place, item by item; yields True
+    after each item and False after each roll to the next stage."""
+    space = out.space
+    while True:
+        k, bound = stage_params(out.stage)
+        values = space._lattice(denom_values(bound))
+        top = space._den
+        current, cols, index = None, [], {}
+        items = ((anchors, typ) for size in range(k + 1)
+                 for anchors in itertools.combinations(
+                     range(out.snapshots[out.stage]), size)
+                 for typ in _extension_types(space, anchors, values))
+        for anchors, typ in itertools.islice(items, out.pos, None):
+            if anchors != current:
+                current = anchors
+                cols = [space._column(a) for a in anchors]
+                index = {} if anchors or not space.n else {(): 0}
+                for p, col in enumerate(zip(*cols)):
+                    index.setdefault(col, p)
+            if typ not in index:
+                row = [top] * space.n if not anchors else list(map(
+                    min, itertools.repeat(top, space.n),
+                    *[map(r.__add__, col) for r, col in zip(typ, cols)]))
+                index[typ] = space._append_row(row)
+                for col, r in zip(cols, typ):
+                    col.append(r)
+            out.pos += 1
+            yield True
+        out.stage += 1
+        out.pos = 0
+        out.snapshots.append(space.n)
+        yield False
+
+
+def advance_reference(prefix, steps):
+    """Advance prefix in place by steps schedule items of walk_reference."""
+    walk = walk_reference(prefix)
+    while steps:
+        if next(walk):
+            steps -= 1
 
 
 # --- Fraction reference for the integer difference-bound closure --------------

@@ -197,6 +197,22 @@ class TestCones:
                            "--right", str(narrow))
         assert (code, out) == (1, "false\n")
 
+    @pytest.mark.parametrize("left, right, want", [
+        ("cone.txt", "tcone.txt", (1, "false\n")),
+        ("tcone.txt", "cone.txt", (0, "true\n")),
+    ])
+    def test_cone_subset_reads_each_file_once(self, demo, capsys, monkeypatch,
+                                              left, right, want):
+        reads = []
+        read = cli._read
+        monkeypatch.setattr(cli, "_read", lambda path: reads.append(path) or read(path))
+        code, out, _ = run(capsys, "cone-subset", "--sig", demo["sig.txt"],
+                           "--space", demo["space2.txt"],
+                           "--left", demo[left], "--right", demo[right])
+        assert (code, out) == want
+        assert sorted(reads) == sorted([demo["sig.txt"], demo["space2.txt"],
+                                        demo[left], demo[right]])
+
     def test_cone_subset_grey_counterexample(self, demo, capsys):
         code, out, _ = run(capsys, "cone-subset", "--sig", demo["sig.txt"],
                            "--space", demo["prefix.txt"],
@@ -435,6 +451,14 @@ class TestRuns:
                            "--family", str(fam), "-n", "1", "--eps", "1/8")
         assert code == 2
         assert "delta index 3" in err
+
+    def test_sc_check_formula_error_names_its_line(self, demo, capsys):
+        fam = demo["dir"] / "fam.txt"
+        fam.write_text("cond 0 0 R(x1)\n\ncond 0 0 R(x1))\n")
+        code, _, err = run(capsys, "sc-check", "--structure", demo["m.txt"],
+                           "--family", str(fam), "-n", "1", "--eps", "1/8")
+        assert code == 2
+        assert f"{fam}:3: trailing input at position 5" in err
 
     def test_homog_test_all_singletons(self, demo, capsys):
         code, out, _ = run(capsys, "homog-test", "--prefix",

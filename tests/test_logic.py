@@ -1,6 +1,9 @@
 """Tests for formula parsing, modulus inference, and evaluation."""
 
+import itertools
 import random
+import re
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -514,6 +517,28 @@ class TestStructureText:
         M = small_structure()
         text = M.to_text() + "val R 5 1/2\n"
         with pytest.raises(PreconditionError):
+            FinStructure.from_text(text)
+
+    def test_high_arity_without_values_allocates_little(self):
+        text = "point 0\npoint 1\ndist 0 1 1/2\nrel R 40 mod 1\n"
+        tracemalloc.start()
+        try:
+            with pytest.raises(PreconditionError) as exc:
+                FinStructure.from_text(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == f"no table value for R{(0,) * 40}"
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("missing", [0, 3, 5])
+    def test_first_missing_value_in_product_order(self, missing):
+        tuples = list(itertools.product(range(2), repeat=3))
+        vals = "".join(f"val T {' '.join(map(str, t))} 1/2\n"
+                       for i, t in enumerate(tuples) if i not in (missing, 6))
+        text = "point 0\npoint 1\ndist 0 1 1/2\nrel T 3 mod 1\n" + vals
+        with pytest.raises(PreconditionError,
+                           match=re.escape(f"no table value for T{tuples[missing]}")):
             FinStructure.from_text(text)
 
     def test_modulus_violation_rejected(self):

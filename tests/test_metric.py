@@ -1,12 +1,16 @@
 """Tests for finite metric spaces, the feasibility solver, and the
 incremental homogeneous-space builder."""
 
+import hashlib
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import grid_feasible, is_valid_witness, random_constraint_set
+from oracles import (advance_reference, grid_feasible, is_valid_witness,
+                     random_constraint_set)
 from urybench.errors import PreconditionError, UsageError
 from urybench.metric import (
     Feasible,
@@ -15,10 +19,13 @@ from urybench.metric import (
     PartialConstraintSet,
     PartialIsometry,
     QUPrefix,
+    advance,
+    append_point_completion,
     check_certificate,
     check_witness,
     denom_values,
     extend_partial_isometry,
+    extension_image,
     feasible,
     one_point_admissible,
     qu_complete_stage,
@@ -420,3 +427,89 @@ def test_trailing_comment_is_ignored(kind):
     plain = "".join(line.partition("#")[0].rstrip() + "\n"
                     for line in text.splitlines())
     assert write(read(text)) == write(read(plain))
+
+
+# --- the resumable schedule walk against walk_reference ----------------------
+
+STAGE2_ITEMS = 4424     # through the end of stage 2: 1,773 points
+STAGE2_SHA256 = "2c948182f2ff1c1cf4e9c3abf270804b37f10b0681e854706f7fe8f6a3b8f396"
+# the chunk sizes of the grow benchmark workload, in its seed-1 order
+GROW_CHUNKS = [63] * 56 + [64] * 14
+random.Random(1).shuffle(GROW_CHUNKS)
+# above this many points a text round trip is replaced by the hand-built
+# prefix it leaves (no resume point): reading ~2,000 points takes seconds
+TEXT_POINTS = 400
+OFF_LATTICE = [F(1, 7), F(3, 11), F(5, 6), F(1, 2), F(1)]
+
+
+def walk_state(p):
+    return p.stage, p.pos, p.snapshots, p.space._den, p.space._rows
+
+
+def off_schedule(op, seed, p, base):
+    """Apply one off-schedule operation to p in place; base is the space
+    size the schedule reached."""
+    rng, space = random.Random(seed), p.space
+    n = space.n
+    if op == "image":
+        anchors = tuple(sorted(rng.sample(range(n), min(n - 1, rng.randint(1, 3)))))
+        c = rng.choice([z for z in range(n) if z not in anchors])
+        typ = tuple(space._num(c, a) for a in anchors)
+        # the mirror scan rejects every point that exists, so the amalgam
+        # is appended; on odd seeds it is rejected too and dropped again
+        extension_image(space, anchors, typ,
+                        lambda w: w >= n and seed % 2 == 0)
+    elif op == "pin":
+        append_point_completion(space, {rng.randrange(n): rng.choice(OFF_LATTICE)})
+    elif op == "truncate":
+        space.truncate(base)
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.integers(1, 400),
+       st.lists(st.tuples(st.integers(1, STAGE2_ITEMS + 400),
+                          st.sampled_from(["text", "copy", "image", "pin",
+                                           "truncate"]),
+                          st.integers(0, 999)), max_size=8))
+def test_resumed_walk_matches_reference(extra, cuts):
+    """Random chunkings from empty to a few hundred items into stage 3,
+    interleaved with text round trips (which drop the resume point),
+    copies extended on both sides, off-schedule points and truncation
+    back to the schedule's size, against walk_reference on the same
+    operations."""
+    total = STAGE2_ITEMS + extra
+    p, ref, done = QUPrefix(), QUPrefix(), 0
+    for cut, op, seed in sorted(cuts) + [(total, None, 0)]:
+        steps = min(cut, total) - done
+        advance(p, steps)
+        advance_reference(ref, steps)
+        done += steps
+        base = p.space.n
+        if op == "text":
+            p = (QUPrefix.from_text(p.to_text()) if base <= TEXT_POINTS else
+                 QUPrefix(p.space.copy(), p.stage, p.pos, list(p.snapshots)))
+            assert p.resume is None
+            ref = p.copy()
+        elif op == "copy":
+            q, r = p.copy(), ref.copy()
+            advance(q, seed)
+            advance_reference(r, seed)
+            assert walk_state(q) == walk_state(r)
+        else:
+            off_schedule(op, seed, p, base)
+            off_schedule(op, seed, ref, base)
+        assert walk_state(p) == walk_state(ref)
+    assert p.to_text() == ref.to_text()
+
+
+def test_stage_two_text_is_pinned():
+    """The 4,424-item prefix text, built in one call, in the grow
+    workload's 70 chunks, and read back from text half way then resumed."""
+    texts = [qu_extend(QUPrefix(), STAGE2_ITEMS).to_text()]
+    p = QUPrefix()
+    for size in GROW_CHUNKS:
+        p = qu_extend(p, size)
+    texts.append(p.to_text())
+    half = QUPrefix.from_text(qu_extend(QUPrefix(), 2000).to_text())
+    texts.append(qu_extend(half, STAGE2_ITEMS - 2000).to_text())
+    assert [hashlib.sha256(t.encode()).hexdigest() for t in texts] == [STAGE2_SHA256] * 3

@@ -137,6 +137,9 @@ LINE_CASES = {
                "witness tuple has 1 ids, want 2"),
     "family-ids": (lambda p: cli._read_family(p, SIG, N_IDS),
                    "cond 1/2 0,y R(x0)\n", "bad point id 'y'"),
+    "family-formula": (lambda p: cli._read_family(p, SIG, N_IDS),
+                       "cond 1/2 0,1 R(x0)\ndelta 0 R(x0\n",
+                       "expected ')' at position 4"),
     "cone-kind": (lambda p: cli._cone_kind(cli._read(p), p),
                   "con R 0 0 1 cc\ntcone r=1/2\n", "cannot tell the cone kind apart"),
     "gcone": (lambda p: GreyCosetCode.from_text(cli._read(p)),
